@@ -1,10 +1,10 @@
-"""Dense symmetric eigensolver: cyclic Jacobi rotations.
+"""Dense symmetric eigensolver: LAPACK through ``np.linalg.eigh``.
 
-The classical two-sided Jacobi iteration annihilates off-diagonal entries
-in cyclic row order and converges quadratically once the off-diagonal norm
-is small.  A numba-compiled kernel carries the O(n^3)-per-sweep work; a
-vectorized round-robin (parallel ordering) fallback keeps the module usable
-without numba at reduced speed.
+The module name dates from a hand-written cyclic Jacobi solver that this
+call replaced; it is kept because the benchmark's set-up probe imports
+``reeblab.jacobi.jacobi_eigh`` and its tracer wraps that function.  The
+basis LAPACK returns inside a degenerate cluster is arbitrary;
+``spectrum._disentangle_clusters`` fixes it deterministically.
 """
 
 from __future__ import annotations
@@ -13,178 +13,24 @@ import numpy as np
 
 from .errors import NoConvergence
 
-try:
-    from numba import njit
 
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(f):
-            return f
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-@njit(cache=True, fastmath=True)
-def _jacobi_kernel(A, V, tol, max_sweeps):  # pragma: no cover - compiled
-    n = A.shape[0]
-    norm0 = 0.0
-    for i in range(n):
-        for j in range(n):
-            norm0 += A[i, j] * A[i, j]
-    norm0 = np.sqrt(norm0)
-    if norm0 == 0.0:
-        return 0
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        off = 0.0
-        for i in range(n - 1):
-            for j in range(i + 1, n):
-                off += A[i, j] * A[i, j]
-        off = np.sqrt(2.0 * off)
-        sweeps = sweep
-        if off <= tol * norm0:
-            break
-        # classical threshold strategy: skip pivots far below the current
-        # off-diagonal level; the threshold shrinks with off, so no pivot
-        # is starved permanently
-        thresh = off / (n * 4.0)
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= thresh or apq == 0.0:
-                    continue
-                app = A[p, p]
-                aqq = A[q, q]
-                tau = (aqq - app) / (2.0 * apq)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + np.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + np.sqrt(1.0 + tau * tau))
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                s = t * c
-                # symmetric two-sided update: rotate the two rows in a
-                # contiguous pass, restore symmetry, diagonal block closed
-                # form
-                for k in range(n):
-                    akp = A[p, k]
-                    akq = A[q, k]
-                    A[p, k] = c * akp - s * akq
-                    A[q, k] = s * akp + c * akq
-                A[p, p] = app - t * apq
-                A[q, q] = aqq + t * apq
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                for k in range(n):
-                    if k != p and k != q:
-                        A[k, p] = A[p, k]
-                        A[k, q] = A[q, k]
-                for k in range(n):
-                    vkp = V[k, p]
-                    vkq = V[k, q]
-                    V[k, p] = c * vkp - s * vkq
-                    V[k, q] = s * vkp + c * vkq
-    return sweeps
-
-
-def _round_robin_rounds(n):
-    """Parallel ordering (Brent & Luk 1985): rounds of disjoint pairs (p, q),
-    p < q, in which each of the n(n-1)/2 pairs appears exactly once.
-
-    Circle method over an even number of players; odd n gets a dummy
-    player n, and whoever meets it sits the round out.
-    """
-    m = n + n % 2
-    players = list(range(m))
-    rounds = []
-    for _ in range(m - 1):
-        p, q = [], []
-        for i in range(m // 2):
-            a, b = sorted((players[i], players[m - 1 - i]))
-            if b < n:
-                p.append(a)
-                q.append(b)
-        rounds.append((np.array(p, dtype=np.int64),
-                       np.array(q, dtype=np.int64)))
-        players = [players[0]] + [players[-1]] + players[1:-1]
-    return rounds
-
-
-def _jacobi_numpy(A, V, tol, max_sweeps):
-    """Parallel-ordering Jacobi: each round applies n/2 disjoint rotations
-    with vectorized slab updates."""
-    n = A.shape[0]
-    rounds = _round_robin_rounds(n)
-    norm0 = np.linalg.norm(A)
-    if norm0 == 0.0:
-        return 0
-    sweeps = 0
-    for sweep in range(max_sweeps):
-        offm = A - np.diag(np.diag(A))
-        off = np.linalg.norm(offm)
-        sweeps = sweep
-        if off <= tol * norm0:
-            break
-        for p, q in rounds:
-            apq = A[p, q]
-            mask = np.abs(apq) > 1e-18 * norm0
-            if not mask.any():
-                continue
-            tau = (A[q, q] - A[p, p]) / (2.0 * np.where(mask, apq, 1.0))
-            # t > 0 at tau = 0, as in the kernel (Golub & Van Loan, Alg.
-            # 8.5.1): np.sign(0) = 0 would leave equal-diagonal pivots alone
-            t = np.where(tau >= 0.0, 1.0, -1.0) \
-                / (np.abs(tau) + np.sqrt(1.0 + tau * tau))
-            t = np.where(mask & np.isfinite(t), t, 0.0)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            acp = A[:, p].copy()
-            acq = A[:, q].copy()
-            A[:, p] = acp * c - acq * s
-            A[:, q] = acp * s + acq * c
-            arp = A[p, :].copy()
-            arq = A[q, :].copy()
-            A[p, :] = c[:, None] * arp - s[:, None] * arq
-            A[q, :] = s[:, None] * arp + c[:, None] * arq
-            vcp = V[:, p].copy()
-            vcq = V[:, q].copy()
-            V[:, p] = vcp * c - vcq * s
-            V[:, q] = vcp * s + vcq * c
-        A[:] = 0.5 * (A + A.T)
-    return sweeps
-
-
-def jacobi_eigh(A, tol: float = 1e-12, max_sweeps: int = 40):
+def jacobi_eigh(A):
     """Full eigendecomposition of a real symmetric matrix.
 
     Returns (w, V) with eigenvalues ascending and orthonormal eigenvector
-    columns.  Stops when the off-diagonal Frobenius norm falls below
-    tol * ||A||_F; raises NoConvergence if it is still above that after
-    max_sweeps sweeps.
+    columns.  Raises ValueError for a non-square, non-finite or
+    nonsymmetric matrix, and NoConvergence if LAPACK fails.
     """
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
+    bad = int(np.count_nonzero(~np.isfinite(A)))
+    if bad:
+        raise ValueError(f"matrix has {bad} non-finite entries")
     asym = np.max(np.abs(A - A.T)) if A.size else 0.0
     if asym > 1e-12 * max(1.0, np.linalg.norm(A)):
         raise ValueError(f"matrix is not symmetric (defect {asym:g})")
-    work = np.array(A, float, copy=True)
-    n = work.shape[0]
-    vecs = np.eye(n)
-    if _HAVE_NUMBA:
-        _jacobi_kernel(work, vecs, tol, max_sweeps)
-    else:
-        _jacobi_numpy(work, vecs, tol, max_sweeps)
-    w = np.diag(work).copy()
-    off = np.linalg.norm(work - np.diag(w))
-    norm0 = np.linalg.norm(A)
-    if off > tol * norm0:
-        raise NoConvergence(
-            f"Jacobi off-diagonal norm is {off / norm0:.3g} of ||A||_F "
-            f"(tol {tol:g}) after {max_sweeps} sweeps")
-    order = np.argsort(w, kind="stable")
-    return w[order], vecs[:, order]
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc

@@ -9,9 +9,12 @@ attained exactly twice.  The generalized index is read off the windings of
 the extremal eigenvalues around zero: mu = 2 wind(nu_neg) + p with
 p = wind(nu_pos) - wind(nu_neg) in {0, 1}.
 
-For constant S the discrete operator is block-circulant and diagonalizes
-mode by mode; that closed-form route stays as the independent cross-check
-of the dense solver.
+The dense symmetric eigenproblem is solved by LAPACK (``np.linalg.eigh``
+behind ``jacobi.jacobi_eigh``).  LAPACK fixes no basis inside a degenerate
+eigenspace, so each cluster is rotated to a deterministic basis before
+windings are read.  For constant S the discrete operator is block-circulant
+and diagonalizes mode by mode; that closed-form route stays as the
+independent cross-check of the dense solver.
 """
 
 from __future__ import annotations
@@ -220,8 +223,9 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = None,
                          gap_tol: float = None) -> SpectrumReport:
     """Solve the discretized operator and keep the trusted central band.
 
-    The dense symmetric eigenproblem goes through the cyclic Jacobi solver;
-    eigensection windings come from angle accumulation over the nodes, and
+    The full spectrum comes from LAPACK through ``jacobi_eigh``; the basis
+    of each degenerate cluster is then fixed by ``_disentangle_clusters``.
+    Eigensection windings come from angle accumulation over the nodes, and
     eigenpairs whose winding cannot be tracked are excluded and counted.
     """
     cfg = DEFAULT_CONFIG

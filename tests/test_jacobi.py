@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reeblab.errors import NoConvergence
-from reeblab.jacobi import _jacobi_numpy, _round_robin_rounds, jacobi_eigh
+from reeblab.jacobi import jacobi_eigh
 
 
 def test_small_known_matrix():
@@ -46,18 +46,6 @@ def test_rejects_nonsymmetric():
         jacobi_eigh(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
-def test_numpy_fallback_agrees():
-    rng = np.random.default_rng(4)
-    a = rng.standard_normal((40, 40))
-    a = 0.5 * (a + a.T)
-    work = a.copy()
-    v = np.eye(40)
-    _jacobi_numpy(work, v, 1e-12, 40)
-    w = np.sort(np.diag(work))
-    assert np.max(np.abs(w - np.linalg.eigvalsh(a))) < 1e-9
-    assert np.max(np.abs(v.T @ v - np.eye(40))) < 1e-10
-
-
 def _random_symmetric(n, seed):
     a = np.random.default_rng(seed).standard_normal((n, n))
     return 0.5 * (a + a.T)
@@ -68,8 +56,8 @@ def _toeplitz_tridiagonal(n):
     return 2.0 * np.eye(n) - np.eye(n, k=1) - np.eye(n, k=-1)
 
 
-# The fallback runs whether or not numba is installed, so these cases call it
-# directly rather than through jacobi_eigh.
+# Cases that once broke the numpy Jacobi fallback (equal-diagonal pivots, odd
+# n), kept as regression cases for the solver that replaced it.
 @pytest.mark.parametrize("a,expected", [
     (np.array([[2.0, 1.0], [1.0, 2.0]]), [1.0, 3.0]),
     (_toeplitz_tridiagonal(9),
@@ -79,26 +67,24 @@ def _toeplitz_tridiagonal(n):
 def test_numpy_fallback_cases(a, expected):
     n = len(a)
     expected = np.linalg.eigvalsh(a) if expected is None else np.sort(expected)
-    work = a.copy()
-    v = np.eye(n)
-    _jacobi_numpy(work, v, 1e-12, 40)
-    w = np.diag(work)
-    assert np.max(np.abs(np.sort(w) - expected)) < 1e-10
+    w, v = jacobi_eigh(a)
+    assert np.max(np.abs(w - expected)) < 1e-10
     assert np.max(np.abs(v.T @ v - np.eye(n))) < 1e-12
     assert np.max(np.abs(a @ v - v * w)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [2, 3, 5, 24, 129])
-def test_round_robin_covers_each_pair_once(n):
-    seen = []
-    for p, q in _round_robin_rounds(n):
-        idx = np.concatenate([p, q])
-        assert len(set(idx.tolist())) == len(idx)
-        assert np.all(p < q)
-        seen += list(zip(p.tolist(), q.tolist()))
-    assert sorted(seen) == [(i, j) for i in range(n) for j in range(i + 1, n)]
+def test_rejects_nonfinite():
+    a = np.eye(3)
+    a[0, 1] = a[1, 0] = np.nan
+    a[2, 2] = np.inf
+    with pytest.raises(ValueError, match="3 non-finite entries"):
+        jacobi_eigh(a)
 
 
-def test_unconverged_raises():
-    with pytest.raises(NoConvergence, match="after 1 sweeps"):
-        jacobi_eigh(_random_symmetric(24, 6), max_sweeps=1)
+def test_lapack_failure_is_named(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NoConvergence, match="Eigenvalues did not converge"):
+        jacobi_eigh(np.eye(2))

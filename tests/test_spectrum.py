@@ -200,3 +200,46 @@ def test_band_too_narrow_for_unbracketed_spectrum():
     rep.p = 2  # corrupted winding jump must be rejected
     with pytest.raises(BandTooNarrow):
         spectrum.generalized_cz(rep, 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_degenerate_cluster_basis_does_not_matter(analytic_paths, monkeypatch,
+                                                  seed):
+    """LAPACK fixes no basis inside a degenerate eigenspace: a random
+    rotation inside each cluster must not change the windings, the index or
+    the audit once _disentangle_clusters has run."""
+    op = spectrum.build_S(analytic_paths["P2"])
+    ref = spectrum.discretize_and_solve(op, 128)
+    rng = np.random.default_rng(seed)
+    solve = spectrum.jacobi_eigh
+    n_rotated = []
+
+    def rotated_eigh(a):
+        w, v = solve(a)
+        scale = max(np.max(np.abs(w)), 1.0)  # as in _disentangle_clusters
+        i = 0
+        while i < len(w):
+            j = i + 1
+            while j < len(w) and w[j] - w[i] < 1e-9 * scale:
+                j += 1
+            if j - i > 1:
+                q, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
+                v[:, i:j] = v[:, i:j] @ q
+                n_rotated.append(j - i)
+            i = j
+        return w, v
+
+    monkeypatch.setattr(spectrum, "jacobi_eigh", rotated_eigh)
+    rep = spectrum.discretize_and_solve(op, 128)
+    assert len(n_rotated) > 100  # the constant-S spectrum is degenerate
+    assert np.array_equal(rep.windings, ref.windings)
+    assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
+    assert rep.n_excluded == ref.n_excluded
+    assert rep.mu_tilde_frame == ref.mu_tilde_frame == 0
+    audit = spectrum.spectrum_property_audit(rep)
+    want = spectrum.spectrum_property_audit(ref)
+    assert audit["ok"] and want["ok"]
+    assert audit["two_per_winding"] == want["two_per_winding"]
+    assert audit["violations"] == want["violations"]
+    assert audit["min_independence_det"] == pytest.approx(
+        want["min_independence_det"], rel=1e-6)
