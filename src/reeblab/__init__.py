@@ -9,13 +9,12 @@ self-linking numbers, the explicit pseudo-holomorphic foliation leaves, and
 the homoclinic separatrix structure.
 """
 
-from .config import DEFAULT_CONFIG, PRESETS, RunConfig
+from .config import PRESETS, RunConfig
 from .model import HamiltonianParams
 from . import czindex, errors, jacobi, knots, leaves, model, orbits, \
     spectrum, svgplot
 
 __all__ = [
-    "DEFAULT_CONFIG",
     "PRESETS",
     "RunConfig",
     "HamiltonianParams",

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, RunConfig
+from .config import RunConfig
 from .errors import ReebLabError
 from . import czindex, knots, leaves, model, orbits, spectrum, svgplot
 from .model import HamiltonianParams
@@ -32,6 +32,11 @@ def _json_default(obj):
 
 def dumps(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+
+
+def _write(path: Path, text: str) -> None:
+    path.write_text(text)
+    print(f"wrote {path}")
 
 
 # ---------------------------------------------------------------------------
@@ -57,17 +62,7 @@ def run_validate(cfg: RunConfig) -> dict:
         "count_ok": structure.count_ok,
         "pattern_ok": structure.pattern_ok,
         "anomalies": structure.anomalies,
-        "points": [
-            {
-                "location": cp.location.tolist(),
-                "h2_value": cp.h2_value,
-                "hessian_signature": cp.hessian_signature,
-                "flow_type": cp.flow_type,
-                "k1": cp.k1,
-                "k2": cp.k2,
-            }
-            for cp in structure.points
-        ],
+        "points": [asdict(cp) for cp in structure.points],
     }
 
     trio = None
@@ -105,7 +100,7 @@ def run_validate(cfg: RunConfig) -> dict:
         per_orbit = {}
         ok = True
         for orbit, want in zip(trio, (1, 2, 3)):
-            res = czindex.cz_all_methods(p, orbit, spectrum_nodes=128)
+            res = czindex.cz_all_methods(p, orbit)
             got = res["numeric"].mu_global
             per_orbit[orbit.label] = {
                 "numeric": res["numeric"].mu_global,
@@ -141,15 +136,14 @@ def run_validate(cfg: RunConfig) -> dict:
         for i in range(3):
             for j in range(i + 1, 3):
                 a, b = trio[i], trio[j]
-                ca = knots.orbit_curve(a, cfg.n_curve_samples)
-                cb = knots.orbit_curve(b, cfg.n_curve_samples)
+                ca = knots.orbit_curve(a)
+                cb = knots.orbit_curve(b)
                 raw, lk = knots.gauss_linking(ca, cb, seed=cfg.seed)
                 pair_ev[f"{a.label}-{b.label}"] = {"raw": raw, "lk": lk}
                 ok = ok and lk == 0
         sl_ev = {}
         for orbit in trio:
-            sl = knots.self_linking(p, orbit, n=cfg.n_curve_samples,
-                                    offset=cfg.pushoff_offset, seed=cfg.seed)
+            sl = knots.self_linking(p, orbit, seed=cfg.seed)
             sl_ev[orbit.label] = sl
             ok = ok and sl == -1
         items["linking"] = {
@@ -182,7 +176,7 @@ def run_validate(cfg: RunConfig) -> dict:
             leaf_ev = {}
             for iid in ("plane_to_P3", "cyl_P3_P1"):
                 prof = leaves.integrate_profile(p, iid)
-                grid = leaves.assemble_leaf(p, prof, cfg.leaf_nt)
+                grid = leaves.assemble_leaf(p, prof)
                 diag = leaves.leaf_diagnostics(p, grid)
                 leaf_ev[iid] = {
                     "asymptotes": [prof.asymptote_neg, prof.asymptote_pos],
@@ -233,25 +227,18 @@ def run_validate(cfg: RunConfig) -> dict:
 # subcommands
 
 
-def _cmd_validate(cfg, out_dir: Path, fmt: str):
+def _cmd_validate(cfg, out: Path, args):
     report = run_validate(cfg)
-    path = out_dir / "validate.json"
-    path.write_text(dumps(report))
-    print(f"wrote {path}")
+    _write(out / "validate.json", dumps(report))
     for k, v in sorted(report["items"].items()):
         print(f"  {k}: {v['status']}")
 
 
-def _cmd_orbits(cfg, out_dir: Path, fmt: str):
+def _cmd_orbits(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     rep = orbits.validate_structure(p)
     payload = {
-        "critical_points": [
-            {"location": cp.location.tolist(), "h2_value": cp.h2_value,
-             "hessian_signature": cp.hessian_signature,
-             "flow_type": cp.flow_type, "k1": cp.k1, "k2": cp.k2}
-            for cp in rep.points
-        ],
+        "critical_points": [asdict(cp) for cp in rep.points],
         "structure_ok": rep.ok,
         "anomalies": rep.anomalies,
     }
@@ -267,25 +254,22 @@ def _cmd_orbits(cfg, out_dir: Path, fmt: str):
         payload["inequality_checks"] = {
             "T1<T2": t1 < t2, "T2<T3": t2 < t3, "T3<2T1": t3 < 2 * t1,
         }
-    path = out_dir / "orbits.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
+    _write(out / "orbits.json", dumps(payload))
 
 
-def _cmd_cz(cfg, out_dir: Path, fmt: str, orbit_label: str, method: str,
-            iterate: int):
+def _cmd_cz(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
+    label, iterate = args.orbit, args.iterate
     trio = {o.label: o for o in orbits.special_orbits(p)}
-    orbit = trio[orbit_label]
-    res = czindex.cz_all_methods(p, orbit, spectrum_nodes=128,
-                                 iterate=iterate)
+    res = czindex.cz_all_methods(p, trio[label], iterate=iterate)
     payload = {
-        "orbit": orbit_label,
+        "orbit": label,
         "iterate": iterate,
         "frame_correction": res["frame_correction"],
         "agree": res["agree"],
     }
-    wanted = ("numeric", "analytic", "spectral") if method == "all" else (method,)
+    wanted = (("numeric", "analytic", "spectral") if args.method == "all"
+              else (args.method,))
     for key in wanted:
         r = res[key]
         payload[key] = {
@@ -294,19 +278,16 @@ def _cmd_cz(cfg, out_dir: Path, fmt: str, orbit_label: str, method: str,
             "mu_global": r.mu_global,
             "method": r.method,
         }
-    path = out_dir / f"cz_{orbit_label}_k{iterate}.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
-    print(f"  mu({orbit_label}^{iterate}) = {res['numeric'].mu_global} "
+    _write(out / f"cz_{label}_k{iterate}.json", dumps(payload))
+    print(f"  mu({label}^{iterate}) = {res['numeric'].mu_global} "
           f"(agree={res['agree']})")
 
 
-def _cmd_spectrum(cfg, out_dir: Path, fmt: str, orbit_label: str,
-                  nodes: int, iterate: int):
+def _cmd_spectrum(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
-    trio = {o.label: o for o in orbits.special_orbits(p)}
-    orbit = trio[orbit_label]
-    path_ = czindex.analytic_monodromy_oracle(p, orbit_label, orbit=orbit)
+    label, nodes, iterate = args.orbit, args.nodes, args.iterate
+    orbit = {o.label: o for o in orbits.special_orbits(p)}[label]
+    path_ = czindex.analytic_monodromy_oracle(p, label, orbit=orbit)
     path_ = czindex.iterate_path(path_, iterate)
     op = spectrum.build_S(path_)
     rep = spectrum.discretize_and_solve(op, nodes)
@@ -314,7 +295,7 @@ def _cmd_spectrum(cfg, out_dir: Path, fmt: str, orbit_label: str,
     res = spectrum.generalized_cz(rep, iterate * fc)
     audit = spectrum.spectrum_property_audit(rep)
     payload = {
-        "orbit": orbit_label,
+        "orbit": label,
         "iterate": iterate,
         "n_nodes": nodes,
         "eigenvalues": rep.eigenvalues.tolist(),
@@ -328,92 +309,69 @@ def _cmd_spectrum(cfg, out_dir: Path, fmt: str, orbit_label: str,
         "audit": {k: v for k, v in audit.items() if k != "two_per_winding"},
         "two_per_winding": {str(k): v for k, v in audit["two_per_winding"].items()},
     }
-    path = out_dir / f"spectrum_{orbit_label}_k{iterate}.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
-    if fmt == "csv":
+    stem = f"spectrum_{label}_k{iterate}"
+    _write(out / f"{stem}.json", dumps(payload))
+    if args.format == "csv":
         lines = ["eigenvalue,winding"]
         for w_, k_ in zip(rep.eigenvalues, rep.windings):
             lines.append(f"{w_:.12g},{k_}")
-        cpath = out_dir / f"spectrum_{orbit_label}_k{iterate}.csv"
-        cpath.write_text("\n".join(lines) + "\n")
-        print(f"wrote {cpath}")
+        _write(out / f"{stem}.csv", "\n".join(lines) + "\n")
 
 
-def _cmd_link(cfg, out_dir: Path, fmt: str, pair: str, self_label: str):
+def _cmd_link(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     trio = {o.label: o for o in orbits.special_orbits(p)}
     payload = {}
-    if pair:
-        la, lb = pair.split(",")
-        ca = knots.orbit_curve(trio[la], cfg.n_curve_samples)
-        cb = knots.orbit_curve(trio[lb], cfg.n_curve_samples)
+    if args.pair:
+        la, lb = args.pair.split(",")
+        ca = knots.orbit_curve(trio[la])
+        cb = knots.orbit_curve(trio[lb])
         raw, lk = knots.gauss_linking(ca, cb, seed=cfg.seed)
         payload["pair"] = {"curves": [la, lb], "raw": raw, "rounded": lk,
                            "guard": abs(raw - lk)}
-    if self_label:
-        orbit = trio[self_label]
-        curve = knots.orbit_curve(orbit, cfg.n_curve_samples)
+    if args.self_label:
+        curve = knots.orbit_curve(trio[args.self_label])
         xbar1, _ = model.frame_sections(p, curve.samples)
-        pushed = knots.pushoff(p, curve, xbar1, offset=cfg.pushoff_offset)
+        pushed = knots.pushoff(p, curve, xbar1)
         raw, lk = knots.gauss_linking(curve, pushed, seed=cfg.seed)
-        payload["self"] = {"curve": self_label, "raw": raw, "rounded": lk,
+        payload["self"] = {"curve": args.self_label, "raw": raw, "rounded": lk,
                            "guard": abs(raw - lk)}
-    path = out_dir / "link.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
+    _write(out / "link.json", dumps(payload))
 
 
-def _cmd_leaf(cfg, out_dir: Path, fmt: str, which: str):
+def _cmd_leaf(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
+    which = args.which
     prof = leaves.integrate_profile(p, which)
-    grid = leaves.assemble_leaf(p, prof, cfg.leaf_nt)
-    diag = leaves.leaf_diagnostics(p, grid)
+    diag = leaves.leaf_diagnostics(p, leaves.assemble_leaf(p, prof))
     payload = {
         "interval": which,
         "asymptotes": {"neg": prof.asymptote_neg, "pos": prof.asymptote_pos},
         "s_range": [prof.s[0], prof.s[-1]],
-        "diagnostics": {
-            "cr_residual_max": diag.cr_residual_max,
-            "hofer_energy": diag.hofer_energy,
-            "mass_neg_end": diag.mass_neg_end,
-            "dlambda_area": diag.dlambda_area,
-            "wind_infty_pos": diag.wind_infty_pos,
-            "wind_infty_neg": diag.wind_infty_neg,
-            "section_pairing_sign": diag.section_pairing_sign,
-        },
+        "diagnostics": asdict(diag),
     }
-    path = out_dir / f"leaf_{which}.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
-    if fmt == "csv":
+    _write(out / f"leaf_{which}.json", dumps(payload))
+    if (args.emit or args.format) == "csv":
         lines = ["s,g,f,a"]
         for s_, g_, f_, a_ in zip(prof.s, prof.g, prof.f, prof.a):
             lines.append(f"{s_:.12g},{g_:.12g},{f_:.12g},{a_:.12g}")
-        cpath = out_dir / f"leaf_{which}.csv"
-        cpath.write_text("\n".join(lines) + "\n")
-        print(f"wrote {cpath}")
+        _write(out / f"leaf_{which}.csv", "\n".join(lines) + "\n")
 
 
-def _cmd_atlas(cfg, out_dir: Path, fmt: str):
+def _cmd_atlas(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
-    atlas = leaves.foliation_atlas(p, n_t=cfg.leaf_nt)
+    atlas = leaves.foliation_atlas(p)
     payload = {"leaves": {}, "binding_orbits": {}, "separatrix_shadow": {}}
     for iid, entry in atlas["leaves"].items():
-        d = entry["diagnostics"]
+        diag = asdict(entry["diagnostics"])
+        diag["strong_section_sign"] = diag.pop("section_pairing_sign")
         payload["leaves"][iid] = {
             "role": entry["role"],
             "fredholm_index": entry["fredholm_index"],
             "wind_pi": entry["wind_pi"],
             "asymptotes": [entry["profile"].asymptote_neg,
                            entry["profile"].asymptote_pos],
-            "cr_residual_max": d.cr_residual_max,
-            "hofer_energy": d.hofer_energy,
-            "mass_neg_end": d.mass_neg_end,
-            "dlambda_area": d.dlambda_area,
-            "wind_infty_pos": d.wind_infty_pos,
-            "wind_infty_neg": d.wind_infty_neg,
-            "strong_section_sign": d.section_pairing_sign,
+            **diag,
         }
     for label, orb in atlas["binding_orbits"].items():
         payload["binding_orbits"][label] = {
@@ -421,17 +379,14 @@ def _cmd_atlas(cfg, out_dir: Path, fmt: str):
         }
     payload["separatrix_shadow"]["status"] = atlas["separatrix_shadow"]["status"]
     payload["homoclinic_report"] = atlas["homoclinic_report"]
-    jpath = out_dir / "atlas.json"
-    jpath.write_text(dumps(payload))
-    spath = out_dir / "atlas.svg"
-    spath.write_text(svgplot.plot_atlas(p, atlas))
-    print(f"wrote {jpath}")
-    print(f"wrote {spath}")
+    _write(out / "atlas.json", dumps(payload))
+    _write(out / "atlas.svg", svgplot.plot_atlas(p, atlas))
 
 
-def _cmd_scan(cfg, out_dir: Path, fmt: str, bound: float):
+def _cmd_scan(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     trio = orbits.special_orbits(p)
+    bound = args.bound
     if bound is None:
         bound = trio[2].reeb_period
     cands, diags = orbits.resonant_orbit_scan(p, bound,
@@ -443,15 +398,13 @@ def _cmd_scan(cfg, out_dir: Path, fmt: str, bound: float):
         ],
         "diagnostics": diags,
     }
-    path = out_dir / "scan.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path} ({len(cands)} candidates)")
+    _write(out / "scan.json", dumps(payload))
+    print(f"  {len(cands)} candidates")
 
 
-def _cmd_homoclinic(cfg, out_dir: Path, fmt: str):
+def _cmd_homoclinic(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
-    (g1, g2), traj, report = orbits.separatrix_and_homoclinics(
-        p, launch_offset=cfg.launch_offset, horizon=cfg.homoclinic_horizon)
+    (g1, g2), traj, report = orbits.separatrix_and_homoclinics(p)
     payload = {
         "convergence": report,
         "gamma1_axis_crossings": g1.axis_crossings.tolist(),
@@ -459,41 +412,28 @@ def _cmd_homoclinic(cfg, out_dir: Path, fmt: str):
         "gamma1_area": g1.enclosed_area,
         "gamma2_area": g2.enclosed_area,
     }
-    path = out_dir / "homoclinic.json"
-    path.write_text(dumps(payload))
-    print(f"wrote {path}")
-    if fmt == "csv":
-        cpath = out_dir / "homoclinic.csv"
-        cpath.write_text(traj.to_csv(p))
-        print(f"wrote {cpath}")
+    _write(out / "homoclinic.json", dumps(payload))
+    if args.format == "csv":
+        _write(out / "homoclinic.csv", traj.to_csv(p))
         for br in (g1, g2):
             lines = ["x2,y2"]
             for x, y in br.samples:
                 lines.append(f"{x:.12g},{y:.12g}")
-            bpath = out_dir / f"separatrix_{br.branch_id}.csv"
-            bpath.write_text("\n".join(lines) + "\n")
-            print(f"wrote {bpath}")
+            _write(out / f"separatrix_{br.branch_id}.csv",
+                   "\n".join(lines) + "\n")
 
 
-def _cmd_plot(cfg, out_dir: Path, fmt: str, targets):
+def _cmd_plot(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
-    made = []
-    for target in sorted(set(targets)):
-        if target == "levels":
-            svg = svgplot.plot_levels(p)
-        elif target == "atlas":
-            svg = svgplot.plot_atlas(p)
-        elif target == "separatrix":
-            svg = svgplot.plot_separatrix(p)
-        elif target == "orbit3d-projection":
-            svg = svgplot.plot_orbit_projection(p, seed=cfg.seed)
-        else:
-            raise ValueError(f"unknown plot target {target!r}")
-        path = out_dir / f"plot_{target}.svg"
-        path.write_text(svg)
-        made.append(path)
-        print(f"wrote {path}")
-    return made
+    plots = {
+        "levels": lambda: svgplot.plot_levels(p),
+        "atlas": lambda: svgplot.plot_atlas(p),
+        "separatrix": lambda: svgplot.plot_separatrix(p),
+        "orbit3d-projection": lambda: svgplot.plot_orbit_projection(
+            p, seed=cfg.seed),
+    }
+    for target in sorted(set(args.targets)):
+        _write(out / f"plot_{target}.svg", plots[target]())
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +456,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=None)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("validate")
-    sub.add_parser("orbits")
+    sub.add_parser("validate").set_defaults(func=_cmd_validate)
+    sub.add_parser("orbits").set_defaults(func=_cmd_orbits)
 
     czp = sub.add_parser("cz")
     czp.add_argument("--orbit", choices=["P1", "P2", "P3"], required=True)
@@ -525,71 +465,58 @@ def build_parser() -> argparse.ArgumentParser:
                      choices=["numeric", "analytic", "spectral", "all"],
                      default="all")
     czp.add_argument("--iterate", type=int, default=1)
+    czp.set_defaults(func=_cmd_cz)
 
     spp = sub.add_parser("spectrum")
     spp.add_argument("--orbit", choices=["P1", "P2", "P3"], required=True)
-    spp.add_argument("--nodes", type=int, default=None)
+    spp.add_argument("--nodes", type=int, default=256)
     spp.add_argument("--iterate", type=int, default=1)
+    spp.set_defaults(func=_cmd_spectrum)
 
     lkp = sub.add_parser("link")
     lkp.add_argument("--pair", type=str, default=None,
                      help="e.g. P1,P3")
     lkp.add_argument("--self", dest="self_label", type=str, default=None,
                      choices=["P1", "P2", "P3"])
+    lkp.set_defaults(func=_cmd_link)
 
     lfp = sub.add_parser("leaf")
     lfp.add_argument("--which", choices=list(leaves.INTERVALS), required=True)
     lfp.add_argument("--emit", choices=["json", "csv"], default=None)
+    lfp.set_defaults(func=_cmd_leaf)
 
-    sub.add_parser("atlas")
+    sub.add_parser("atlas").set_defaults(func=_cmd_atlas)
 
     scp = sub.add_parser("scan")
     scp.add_argument("--bound", type=float, default=None)
+    scp.set_defaults(func=_cmd_scan)
 
-    sub.add_parser("homoclinic")
+    sub.add_parser("homoclinic").set_defaults(func=_cmd_homoclinic)
 
     plp = sub.add_parser("plot")
     plp.add_argument("--targets", nargs="+",
                      choices=["levels", "atlas", "separatrix",
                               "orbit3d-projection"],
                      default=["levels"])
+    plp.set_defaults(func=_cmd_plot)
     return ap
 
 
 def main(argv=None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
-    cfg = DEFAULT_CONFIG
+    cfg = RunConfig()
     if args.config:
-        cfg = RunConfig.from_json(Path(args.config).read_text())
+        try:
+            cfg = RunConfig.from_json(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:
+            ap.error(f"--config: {exc}")
     cfg = cfg.with_overrides(preset=args.preset, epsilon=args.epsilon,
                              seed=args.seed)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    fmt = args.format
-
     try:
-        if args.command == "validate":
-            _cmd_validate(cfg, out_dir, fmt)
-        elif args.command == "orbits":
-            _cmd_orbits(cfg, out_dir, fmt)
-        elif args.command == "cz":
-            _cmd_cz(cfg, out_dir, fmt, args.orbit, args.method, args.iterate)
-        elif args.command == "spectrum":
-            nodes = args.nodes or cfg.spectrum_nodes
-            _cmd_spectrum(cfg, out_dir, fmt, args.orbit, nodes, args.iterate)
-        elif args.command == "link":
-            _cmd_link(cfg, out_dir, fmt, args.pair, args.self_label)
-        elif args.command == "leaf":
-            _cmd_leaf(cfg, out_dir, args.emit or fmt, args.which)
-        elif args.command == "atlas":
-            _cmd_atlas(cfg, out_dir, fmt)
-        elif args.command == "scan":
-            _cmd_scan(cfg, out_dir, fmt, args.bound)
-        elif args.command == "homoclinic":
-            _cmd_homoclinic(cfg, out_dir, fmt)
-        elif args.command == "plot":
-            _cmd_plot(cfg, out_dir, fmt, args.targets)
+        args.func(cfg, out_dir, args)
     except ReebLabError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

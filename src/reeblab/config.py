@@ -1,13 +1,17 @@
-"""Run configuration: model preset, tolerances and integrator limits.
+"""Run configuration: the inputs that choose a run.
 
-A single record collects every knob used by the numerical modules so a run
-is reproducible from one JSON file.  CLI flags override individual keys.
+A run is fixed by the Hamiltonian (a preset or explicit coefficients), the
+level parameter epsilon, the pole-sampling seed and the number of levels of
+the resonance scan.  These five values round-trip through one JSON file and
+are recorded in the validation report; CLI flags override individual keys.
+Numerical tolerances and grid sizes are not run inputs: they are the
+keyword defaults of the functions that use them.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 PRESETS = {
     # Coefficients of the planar factor of the Hamiltonian.  `validated`
@@ -21,63 +25,11 @@ PRESETS = {
 
 @dataclass
 class RunConfig:
-    # model
     preset: str = "validated"
     epsilon: float = 0.5
     coefficients: dict | None = None  # explicit {a,b,c,d} overrides preset
-
-    # tolerances (shared vocabulary across modules)
-    surface_tol: float = 1e-10
-    path_tol: float = 1e-7
-    frame_tol: float = 1e-8
-    orbit_tol: float = 1e-7
-    crit_tol: float = 1e-9
-    merge_tol: float = 1e-7
-    level_tol: float = 1e-8
-    resonance_tol: float = 1e-6
-    degen_tol: float = 1e-6
-    eig_tol: float = 1e-8
-    gap_tol: float = 1e-6
-    fd_tol: float = 1e-5
-    claim_tol: float = 1e-9
-    pole_tol: float = 5e-2
-    sep_tol: float = 1e-6
-    curve_step: float = 5e-2
-    wind_floor: float = 1e-9
-    asym_tol: float = 1e-6
-    pairing_tol: float = 1e-6
-
-    # integrator
-    ode_tol: float = 1e-10
-    min_step: float = 1e-14
-    max_newton: int = 50
-    capture_radius: float = 1e-2
-
-    # orbit machinery
-    launch_offset: float = 1e-6
-    return_horizon: float = 1e4
-    homoclinic_horizon: float = 50.0
-    m2_cap: int = 8
-    scan_levels: int = 64
-
-    # index / spectrum machinery
-    n_directions: int = 256
-    lie_step: float = 1e-5
-    path_samples: int = 256
-    spectrum_nodes: int = 256
-
-    # leaves
-    s_span: float = 200.0
-    leaf_ns: int = 257
-    leaf_nt: int = 128
-
-    # knots
-    n_curve_samples: int = 1024
-    pushoff_offset: float = 1e-2
-    n_pole_candidates: int = 64
-
-    # determinism
-    seed: int = 0
+    seed: int = 0  # pole sampling of the stereographic projection
+    scan_levels: int = 64  # levels of the resonance scan
 
     def coefficient_dict(self) -> dict:
         if self.coefficients is not None:
@@ -92,15 +44,16 @@ class RunConfig:
     @classmethod
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("config must be a JSON object")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        return cls(**data)
+        cfg = cls(**data)
+        cfg.coefficient_dict()
+        return cfg
 
     def with_overrides(self, **kwargs) -> "RunConfig":
         kwargs = {k: v for k, v in kwargs.items() if v is not None}
         return replace(self, **kwargs)
-
-
-DEFAULT_CONFIG = RunConfig()

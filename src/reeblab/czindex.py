@@ -20,7 +20,6 @@ from typing import Callable
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     DegenerateOrbit,
     NotHyperbolic,
@@ -128,17 +127,14 @@ def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool,
     return x, f(x)
 
 
-def winding_interval(path: SymplecticPath, n_directions: int = None,
-                     degen_tol: float = None) -> WindingInterval:
+def winding_interval(path: SymplecticPath, n_directions: int = 256,
+                     degen_tol: float = 1e-6) -> WindingInterval:
     """Winding interval over a half circle of directions, endpoints sharpened
     by golden-section refinement around the sampled extremes.
 
     Raises DegenerateOrbit when an endpoint sits within degen_tol of an
     integer (the path's end map has 1 in its spectrum).
     """
-    cfg = DEFAULT_CONFIG
-    n_directions = cfg.n_directions if n_directions is None else n_directions
-    degen_tol = cfg.degen_tol if degen_tol is None else degen_tol
     if n_directions < 128:
         raise ValueError("n_directions must be at least 128")
     phis = np.arange(n_directions) / n_directions * np.pi
@@ -304,7 +300,7 @@ def rotation_path(turns: float, n_samples: int = 256,
 
 
 def lie_pairing(path: SymplecticPath, section: Callable, taus: np.ndarray,
-                lie_step: float = None) -> np.ndarray:
+                lie_step: float = 1e-5) -> np.ndarray:
     """d(lambda)(eta, L_R eta) at the given parameters, with the Lie
     derivative realized by a centered finite difference of the flow-pulled
     section: L_R eta(t) = d/ds [Phi(t) Phi(t+s)^{-1} eta(t+s)] / T at s=0.
@@ -312,8 +308,6 @@ def lie_pairing(path: SymplecticPath, section: Callable, taus: np.ndarray,
     `section` maps parameter arrays to frame coordinates (..., 2); the frame
     is symplectic, so the pairing is the 2x2 determinant.
     """
-    cfg = DEFAULT_CONFIG
-    lie_step = cfg.lie_step if lie_step is None else lie_step
     taus = np.asarray(taus, float)
     d = lie_step
     eta0 = section(taus)
@@ -347,11 +341,9 @@ def _path_value_lifted(path: SymplecticPath, tau):
     return out
 
 
-def hyperbolic_eigenvectors(path: SymplecticPath, eig_tol: float = None):
+def hyperbolic_eigenvectors(path: SymplecticPath, eig_tol: float = 1e-8):
     """(v_minus, v_plus, beta) of the end matrix; positive basis enforced.
     Raises NotHyperbolic unless the trace exceeds 2."""
-    cfg = DEFAULT_CONFIG
-    eig_tol = cfg.eig_tol if eig_tol is None else eig_tol
     m = path.end_matrix()
     tr = m[0, 0] + m[1, 1]
     if not tr > 2.0:
@@ -403,8 +395,8 @@ def eigenframe_and_quadrants(
     section,
     path: SymplecticPath = None,
     n_nodes: int = 256,
-    lie_step: float = None,
-    pairing_tol: float = None,
+    lie_step: float = 1e-5,
+    pairing_tol: float = 1e-6,
 ):
     """Classify a section of the contact plane along a hyperbolic orbit
     against the invariant-manifold quadrants.
@@ -415,8 +407,6 @@ def eigenframe_and_quadrants(
     quadrants, pairing_sign) where pairing_sign is '+', '-' or 'mixed'
     according to the sign of the Lie pairing at all nodes.
     """
-    cfg = DEFAULT_CONFIG
-    pairing_tol = cfg.pairing_tol if pairing_tol is None else pairing_tol
     if path is None:
         path = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
     v_minus0, v_plus0, beta = hyperbolic_eigenvectors(path)
@@ -449,14 +439,12 @@ def eigenframe_and_quadrants(
 # all-method index computation
 
 
-def cz_all_methods(p, orbit: ReebOrbit, n_samples: int = None,
+def cz_all_methods(p, orbit: ReebOrbit, n_samples: int = 256,
                    spectrum_nodes: int = 128, iterate: int = 1):
     """Index of orbit^iterate by numeric path, analytic oracle and spectral
     formula; returns dict of CZResult plus the agreement flag."""
     from . import spectrum as spectrum_mod
 
-    cfg = DEFAULT_CONFIG
-    n_samples = cfg.path_samples if n_samples is None else n_samples
     fc = frame_correction_for(p, orbit)
     numeric = model.restrict_linearized_to_xi(p, orbit, "rho_orbit_frame",
                                               n_samples)

@@ -10,11 +10,7 @@ class NotStarShaped(ReebLabError):
 
 
 class DegenerateFrame(ReebLabError):
-    """The contact frame cannot be built (|lambda0(X3)| below tolerance)."""
-
-
-class FrameDegenerate(ReebLabError):
-    """A moving frame lost rank along an orbit."""
+    """A contact frame cannot be built or loses rank along an orbit."""
 
 
 class StepUnderflow(ReebLabError):

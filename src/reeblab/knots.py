@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import NoSafePole, OffsetTooLarge, RoundingUnsafe, VanishingSection
 from . import model
 from .model import HamiltonianParams
@@ -52,9 +51,7 @@ class ClosedCurve:
         return float(np.max(diffs))
 
 
-def orbit_curve(orbit: ReebOrbit, n: int = None) -> ClosedCurve:
-    cfg = DEFAULT_CONFIG
-    n = cfg.n_curve_samples if n is None else n
+def orbit_curve(orbit: ReebOrbit, n: int = 1024) -> ClosedCurve:
     return ClosedCurve(orbit.curve(n))
 
 
@@ -62,18 +59,14 @@ def _unit_sphere(points: np.ndarray) -> np.ndarray:
     return points / np.linalg.norm(points, axis=-1, keepdims=True)
 
 
-def stereographic_project(curves, seed: int = None, n_candidates: int = None,
-                          pole_tol: float = None):
+def stereographic_project(curves, seed: int = 0, n_candidates: int = 64,
+                          pole_tol: float = 5e-2):
     """Project curves to R^3 from a pole on the unit sphere chosen (from
     seeded random candidates) to maximize the clearance to all curves.
 
     Returns (pole, [projected point arrays]).  Raises NoSafePole if the
     best clearance is below pole_tol.
     """
-    cfg = DEFAULT_CONFIG
-    seed = cfg.seed if seed is None else seed
-    n_candidates = cfg.n_pole_candidates if n_candidates is None else n_candidates
-    pole_tol = cfg.pole_tol if pole_tol is None else pole_tol
     normalized = [_unit_sphere(c.oriented()) for c in curves]
     cloud = np.vstack(normalized)
     rng = np.random.default_rng(seed)
@@ -111,7 +104,7 @@ def gauss_linking_r3(c1: np.ndarray, c2: np.ndarray):
     return float(np.sum(integrand) / (4.0 * np.pi))
 
 
-def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = None,
+def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = 0,
                   round_guard: float = 0.1):
     """Linking number of two disjoint closed curves on the surface.
 
@@ -127,12 +120,9 @@ def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = None,
 
 
 def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
-            offset: float = None, sep_tol: float = None) -> ClosedCurve:
+            offset: float = 1e-2, sep_tol: float = 1e-6) -> ClosedCurve:
     """Displace a curve by offset along a nonvanishing contact section and
     re-project onto the energy surface."""
-    cfg = DEFAULT_CONFIG
-    offset = cfg.pushoff_offset if offset is None else offset
-    sep_tol = cfg.sep_tol if sep_tol is None else sep_tol
     section = np.asarray(section, float)
     norms = np.linalg.norm(section, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
@@ -146,8 +136,8 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
     return ClosedCurve(pushed, curve.orientation)
 
 
-def self_linking(p: HamiltonianParams, orbit: ReebOrbit, n: int = None,
-                 offset: float = None, seed: int = None) -> int:
+def self_linking(p: HamiltonianParams, orbit: ReebOrbit, n: int = 1024,
+                 offset: float = 1e-2, seed: int = 0) -> int:
     """Self-linking number: Gauss linking of the orbit with its push-off
     along the first global contact-frame section."""
     curve = orbit_curve(orbit, n)
@@ -157,10 +147,8 @@ def self_linking(p: HamiltonianParams, orbit: ReebOrbit, n: int = None,
     return lk
 
 
-def hopf_circles(n: int = None):
+def hopf_circles(n: int = 1024):
     """The standard pair of linked great circles (control case)."""
-    cfg = DEFAULT_CONFIG
-    n = cfg.n_curve_samples if n is None else n
     ang = 2.0 * np.pi * np.arange(n) / n
     c1 = np.stack([np.cos(ang), np.sin(ang), 0 * ang, 0 * ang], axis=-1)
     c2 = np.stack([0 * ang, 0 * ang, np.cos(ang), np.sin(ang)], axis=-1)

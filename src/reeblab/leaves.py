@@ -27,7 +27,6 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     BracketFailure,
     OutsideEnergyCap,
@@ -179,10 +178,10 @@ def _asymptote_label(p: HamiltonianParams, g_end: float, orbit_map) -> str:
 def integrate_profile(
     p: HamiltonianParams,
     interval_id: str,
-    s_span: float = None,
-    tol: float = None,
-    asym_tol: float = None,
-    n_s: int = None,
+    s_span: float = 200.0,
+    tol: float = 1e-10,
+    asym_tol: float = 1e-6,
+    n_s: int = 257,
 ) -> LeafProfile:
     """Solve the profile equation on one admissible interval.
 
@@ -191,11 +190,6 @@ def integrate_profile(
     and integrates a alongside (a' = pi f^2, a(0) = 0 at the midpoint).
     Raises SlowConvergence if the span is exhausted first.
     """
-    cfg = DEFAULT_CONFIG
-    s_span = cfg.s_span if s_span is None else s_span
-    tol = cfg.ode_tol if tol is None else tol
-    asym_tol = cfg.asym_tol if asym_tol is None else asym_tol
-    n_s = cfg.leaf_ns if n_s is None else n_s
     lo, hi = _interval_bounds(p, interval_id)
     if hi - lo < 10 * 1e-12:
         raise ValueError("interval endpoints not separated")
@@ -260,11 +254,9 @@ def integrate_profile(
 
 
 def assemble_leaf(p: HamiltonianParams, profile: LeafProfile,
-                  n_t: int = None) -> LeafGrid:
+                  n_t: int = 128) -> LeafGrid:
     """Sample the map u(s, t) on the profile's s grid times a periodic
     t grid (endpoint omitted)."""
-    cfg = DEFAULT_CONFIG
-    n_t = cfg.leaf_nt if n_t is None else n_t
     if n_t < 64:
         raise ValueError("n_t must be at least 64")
     t = np.arange(n_t) / n_t
@@ -290,7 +282,7 @@ def _grid_derivatives(grid: LeafGrid):
 
 
 def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
-                     wind_floor: float = None) -> LeafDiagnostics:
+                     wind_floor: float = 1e-9) -> LeafDiagnostics:
     """Holomorphicity residual, energy bookkeeping and asymptotic windings.
 
     The residual combines the projected first-order system
@@ -298,8 +290,6 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
     a_s = lambda(u_t), a_t = -lambda(u_s), all derivatives by centered
     differences on the grid (second order).
     """
-    cfg = DEFAULT_CONFIG
-    wind_floor = cfg.wind_floor if wind_floor is None else wind_floor
     prof = grid.profile
     u_s, u_t, ds, dt = _grid_derivatives(grid)
     pts = grid.u[1:-1]
@@ -361,7 +351,7 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
 
 
 def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str,
-                         pairing_tol: float = None):
+                         pairing_tol: float = 1e-6):
     """Strong-transverse-section test at an orbit end of a leaf.
 
     The boundary section is the radial derivative of the leaf near the end,
@@ -371,8 +361,6 @@ def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str,
     Verdict: 'strong' for one strict sign with margin, 'fails' for a sign
     change or a certified zero, 'indefinite' below margin.
     """
-    cfg = DEFAULT_CONFIG
-    pairing_tol = cfg.pairing_tol if pairing_tol is None else pairing_tol
     prof = grid.profile
     label = prof.asymptote_pos if end == "pos" else prof.asymptote_neg
     if label in ("removable", "unknown"):
@@ -422,7 +410,7 @@ def fredholm_index(mu_pos: int, mu_negs, n_punctures: int) -> int:
     return mu_pos - sum(mu_negs) - 2 + n_punctures
 
 
-def foliation_atlas(p: HamiltonianParams, n_s: int = None, n_t: int = None):
+def foliation_atlas(p: HamiltonianParams, n_t: int = 128):
     """All four explicit leaves with diagnostics, role labels, index
     arithmetic and the separatrix shadow standing in for the off-axis
     rigid cylinders (which the symmetric ansatz cannot reach)."""

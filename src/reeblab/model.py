@@ -24,14 +24,8 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_CONFIG, PRESETS, RunConfig
-from .errors import (
-    DegenerateFrame,
-    FrameDegenerate,
-    NoConvergence,
-    NotStarShaped,
-    StepUnderflow,
-)
+from .config import PRESETS, RunConfig
+from .errors import DegenerateFrame, NoConvergence, NotStarShaped, StepUnderflow
 
 # 2x2 rotation generator and the symplectic pairing on R^4.
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -70,6 +64,12 @@ FRAME_A3 = np.array(
         [0.0, 0.0, 1.0, 0.0],
     ]
 )
+
+# Smallest |grad H|, |lambda0(X_3)| and |dlambda0(Xbar1, Xbar2)| at which
+# the global contact frame counts as nondegenerate.
+FRAME_TOL = 1e-8
+# Largest gap |z(T) - z(0)| accepted as a closed orbit.
+ORBIT_CLOSE_TOL = 1e-6
 
 
 @dataclass
@@ -220,7 +220,7 @@ def vector_fields(p: HamiltonianParams, z):
 # contact frame
 
 
-def frame_sections(p: HamiltonianParams, z, frame_tol: float = 1e-8):
+def frame_sections(p: HamiltonianParams, z, frame_tol: float = FRAME_TOL):
     """Global contact-plane frame (Xbar1, Xbar2) at state(s) z.
 
     Xbar_i is the unique vector of ker(lambda0) intersected with TS that
@@ -367,7 +367,7 @@ def integrate_flow(
     T: float,
     time_kind: str = "reeb",
     with_variational: bool = False,
-    tol: float = None,
+    tol: float = 1e-10,
     t_eval=None,
     n_samples: int = 200,
     method: str = "RK45",
@@ -379,8 +379,7 @@ def integrate_flow(
     time_kind : 'reeb' integrates h*X_H, 'hamiltonian' integrates X_H.
     with_variational : also propagate the 4x4 fundamental solution of the
         linearized flow along the same adaptive step sequence.
-    tol : per-step error tolerance (both relative and absolute); defaults
-        to the config value.
+    tol : per-step error tolerance (both relative and absolute).
     method : embedded adaptive Runge-Kutta pair; the default 'RK45' is the
         5(4) pair, 'DOP853' trades more stages for tight tolerances.
 
@@ -392,8 +391,6 @@ def integrate_flow(
     Raises StepUnderflow when the step controller fails (near-singular
     normalization h).
     """
-    if tol is None:
-        tol = DEFAULT_CONFIG.ode_tol
     z0 = np.asarray(z0, float)
     if time_kind not in ("reeb", "hamiltonian"):
         raise ValueError("time_kind must be 'reeb' or 'hamiltonian'")
@@ -442,9 +439,9 @@ def integrate_flow(
 def surface_project(
     p: HamiltonianParams,
     z,
-    surface_tol: float = None,
-    capture_radius: float = None,
-    max_newton: int = None,
+    surface_tol: float = 1e-10,
+    capture_radius: float = 1e-2,
+    max_newton: int = 50,
 ):
     """Return a nearby point of H^{-1}(1/2) by Newton steps along grad(H).
 
@@ -452,10 +449,6 @@ def surface_project(
     to reach |H - 1/2| <= surface_tol, and rejects inputs outside the
     capture radius.
     """
-    cfg = DEFAULT_CONFIG
-    surface_tol = cfg.surface_tol if surface_tol is None else surface_tol
-    capture_radius = cfg.capture_radius if capture_radius is None else capture_radius
-    max_newton = cfg.max_newton if max_newton is None else max_newton
     z = np.array(z, float, copy=True)
     h0, _, _ = hamiltonian_eval(p, z)
     if np.any(np.abs(h0 - 0.5) >= capture_radius):
@@ -583,8 +576,8 @@ def restrict_linearized_to_xi(
     orbit,
     frame_kind: str = "rho_orbit_frame",
     n_samples: int = 256,
-    tol: float = None,
-    path_tol: float = None,
+    tol: float = 1e-10,
+    path_tol: float = 1e-7,
 ) -> SymplecticPath:
     """Compress the 4x4 linearized Reeb flow along a closed orbit to the
     2x2 symplectic path on the contact plane.
@@ -596,16 +589,13 @@ def restrict_linearized_to_xi(
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
-    cfg = DEFAULT_CONFIG
-    tol = cfg.ode_tol if tol is None else tol
-    path_tol = cfg.path_tol if path_tol is None else path_tol
     z0 = np.asarray(orbit.initial_state, float)
     T = float(orbit.reeb_period)
     t_eval = np.linspace(0.0, T, n_samples)
     traj, mats = integrate_flow(p, z0, T, time_kind="reeb",
                                 with_variational=True, tol=tol, t_eval=t_eval)
     gap = np.linalg.norm(traj.states[-1] - z0)
-    if gap > cfg.orbit_tol * 10:
+    if gap > ORBIT_CLOSE_TOL:
         raise ValueError(f"orbit does not close up (gap {gap:g})")
 
     if frame_kind == "rho_orbit_frame":
@@ -620,8 +610,8 @@ def restrict_linearized_to_xi(
         lam = lambda0(traj.states[:, None, :], np.moveaxis(v, -1, 1))
         v = v - reeb[:, :, None] * lam[:, None, :]
         den = dlambda0(xbar1, xbar2)
-        if np.any(np.abs(den) < cfg.frame_tol):
-            raise FrameDegenerate("global frame loses rank along the orbit")
+        if np.any(np.abs(den) < FRAME_TOL):
+            raise DegenerateFrame("global frame loses rank along the orbit")
         cols = np.moveaxis(v, -1, 1)  # (n, 2, 4)
         a = dlambda0(cols, xbar2[:, None, :]) / den[:, None]
         b = dlambda0(xbar1[:, None, :], cols) / den[:, None]
@@ -641,5 +631,5 @@ def restrict_linearized_to_xi(
     )
     defect = path.det_defect()
     if defect > path_tol:
-        raise FrameDegenerate(f"path symplecticity defect {defect:g} exceeds tolerance")
+        raise DegenerateFrame(f"path symplecticity defect {defect:g} exceeds tolerance")
     return path

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .config import DEFAULT_CONFIG
 from .errors import (
     HypothesisFailure,
     NoReturn,
@@ -121,11 +120,9 @@ def _axis_roots(p: HamiltonianParams) -> np.ndarray:
 
 
 def _newton_grid_critical(p: HamiltonianParams, n_grid: int = 41,
-                          crit_tol: float = None, max_iter: int = 60):
+                          crit_tol: float = 1e-9, max_iter: int = 60):
     """Newton on grad(H2) seeded on a grid over [-4 eps, 4 eps]^2; catches
     critical points off the symmetry axis."""
-    cfg = DEFAULT_CONFIG
-    crit_tol = cfg.crit_tol if crit_tol is None else crit_tol
     e = p.epsilon
     g = np.linspace(-4 * e, 4 * e, n_grid)
     xx, yy = np.meshgrid(g, g)
@@ -184,13 +181,10 @@ def classify_critical_point(p: HamiltonianParams, loc) -> CriticalPoint:
     return CriticalPoint(np.array([x, y]), val, signature, flow_type, k1, k2)
 
 
-def find_critical_points(p: HamiltonianParams, crit_tol: float = None,
-                         merge_tol: float = None) -> list:
+def find_critical_points(p: HamiltonianParams, crit_tol: float = 1e-9,
+                         merge_tol: float = 1e-7) -> list:
     """All critical points of H2: closed-form axis roots polished by Newton,
     plus a full-plane Newton grid as a safety net, deduplicated."""
-    cfg = DEFAULT_CONFIG
-    crit_tol = cfg.crit_tol if crit_tol is None else crit_tol
-    merge_tol = cfg.merge_tol if merge_tol is None else merge_tol
     roots = _axis_roots(p)
     axis = np.stack([roots, np.zeros(len(roots))], axis=-1)
     grid = _newton_grid_critical(p, crit_tol=crit_tol)
@@ -286,15 +280,13 @@ def special_orbits(p: HamiltonianParams):
     return p1, p2, p3
 
 
-def orbit_action(curve: np.ndarray, orbit_tol: float = None) -> float:
+def orbit_action(curve: np.ndarray, orbit_tol: float = 1e-7) -> float:
     """Action integral of lambda0 over a sampled closed loop.
 
     The loop is given as uniformly-parametrized samples (n, 4) with the
     endpoint omitted; tangents are computed by centered differences, so the
     composite quadrature is spectrally accurate for smooth loops.
     """
-    cfg = DEFAULT_CONFIG
-    orbit_tol = cfg.orbit_tol if orbit_tol is None else orbit_tol
     curve = np.asarray(curve, float)
     n = len(curve)
     if n < 8:
@@ -354,9 +346,9 @@ def planar_period_and_area(
     p: HamiltonianParams,
     level: float,
     seed,
-    max_time: float = None,
+    max_time: float = 1e4,
     tol: float = 1e-10,
-    level_tol: float = None,
+    level_tol: float = 1e-8,
     n_loop: int = 2048,
 ):
     """Hamiltonian-time period and enclosed signed area of the planar loop
@@ -367,9 +359,6 @@ def planar_period_and_area(
     filtered by proximity to the seed; raises NoReturn with the elapsed
     horizon when no crossing returns (near-separatrix divergence).
     """
-    cfg = DEFAULT_CONFIG
-    max_time = cfg.return_horizon if max_time is None else max_time
-    level_tol = cfg.level_tol if level_tol is None else level_tol
     seed = np.asarray(seed, float)
     if abs(float(model.h2_eval(p, seed[0], seed[1])) - level) > max(
         100 * level_tol, 1e-8 * max(1.0, abs(level))
@@ -434,7 +423,7 @@ def claim_hessian_period(
     p: HamiltonianParams,
     loop: np.ndarray,
     t_ham: float,
-    claim_tol: float = None,
+    claim_tol: float = 1e-9,
 ):
     """Audit of the universal lower bound h_sup * T >= 2 pi for nonconstant
     periodic Hamiltonian-time solutions, where h_sup is the sup of the
@@ -444,8 +433,6 @@ def claim_hessian_period(
     full product loops (n, 4) audited against the 4x4 Hessian.  Returns a
     dict {h_sup, t_ham, product, pass}.
     """
-    cfg = DEFAULT_CONFIG
-    claim_tol = cfg.claim_tol if claim_tol is None else claim_tol
     loop = np.asarray(loop, float)
     if loop.shape[-1] == 2:
         hess = model.h2_hess(p, loop[:, 0], loop[:, 1])
@@ -467,7 +454,7 @@ def claim_hessian_period(
 
 
 def claim1_check(p: HamiltonianParams, orbit_or_loop, t_ham: float = None,
-                 claim_tol: float = None):
+                 claim_tol: float = 1e-9):
     """Run the Hessian-period audit on a ReebOrbit (whose planar datum is
     constant, so the Hamiltonian period is 2 pi) or an explicit loop."""
     if isinstance(orbit_or_loop, ReebOrbit):
@@ -509,9 +496,9 @@ def resonant_orbit_scan(
     action_bound: float,
     level_lo: float = None,
     level_hi: float = None,
-    n_levels: int = None,
-    m2_cap: int = None,
-    resonance_tol: float = None,
+    n_levels: int = 64,
+    m2_cap: int = 8,
+    resonance_tol: float = 1e-6,
 ):
     """Scan planar levels for closed product orbits of small action.
 
@@ -524,10 +511,6 @@ def resonant_orbit_scan(
     the success mode.  Levels whose loops do not return in the horizon are
     recorded as diagnostics.
     """
-    cfg = DEFAULT_CONFIG
-    m2_cap = cfg.m2_cap if m2_cap is None else m2_cap
-    resonance_tol = cfg.resonance_tol if resonance_tol is None else resonance_tol
-    n_levels = cfg.scan_levels if n_levels is None else n_levels
     if p.structure is None:
         validate_structure(p)
     axis_pts = sorted(
@@ -676,9 +659,9 @@ def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
 
 def separatrix_and_homoclinics(
     p: HamiltonianParams,
-    launch_offset: float = None,
-    horizon: float = None,
-    planar_horizon: float = None,
+    launch_offset: float = 1e-6,
+    horizon: float = 50.0,
+    planar_horizon: float = 1e4,
 ):
     """Trace both separatrix branches of the planar saddle and build the
     product homoclinic trajectory with its convergence report.
@@ -689,10 +672,6 @@ def separatrix_and_homoclinics(
     directions for `horizon`, with end distances to the hyperbolic binding
     orbit reported.
     """
-    cfg = DEFAULT_CONFIG
-    launch_offset = cfg.launch_offset if launch_offset is None else launch_offset
-    horizon = cfg.homoclinic_horizon if horizon is None else horizon
-    planar_horizon = cfg.return_horizon if planar_horizon is None else planar_horizon
     v_unst, v_stab, _ = saddle_eigendirections(p)
 
     branches = {}

@@ -24,7 +24,6 @@ from typing import Optional
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG
 from .errors import AsymmetryTooLarge, BandTooNarrow
 from .jacobi import jacobi_eigh
 from .model import J0, SymplecticPath
@@ -87,7 +86,7 @@ def d4_symbol(n_mode, n_nodes: int):
     return (8.0 * np.sin(th) - np.sin(2.0 * th)) / (6.0 * h)
 
 
-def build_S(path: SymplecticPath, fd_tol: float = None) -> OperatorModel:
+def build_S(path: SymplecticPath) -> OperatorModel:
     """Coefficient path S = -J0 dPhi/dt Phi^{-1} of the operator.
 
     Paths carrying a constant generator use the closed form
@@ -96,8 +95,6 @@ def build_S(path: SymplecticPath, fd_tol: float = None) -> OperatorModel:
     of the stored nodes.  The result is symmetrized exactly and the
     asymmetry residual reported; AsymmetryTooLarge above 1e-6.
     """
-    cfg = DEFAULT_CONFIG
-    fd_tol = cfg.fd_tol if fd_tol is None else fd_tol
     tau = path.tau
     n = len(tau) - 1  # drop duplicate closing node for the periodic grid
     if path.constant_generator is not None:
@@ -219,8 +216,7 @@ def _winding_of_nodes(vecs: np.ndarray, floor: float):
     return np.round(total).astype(int), ok
 
 
-def discretize_and_solve(op: OperatorModel, n_nodes: int = None,
-                         gap_tol: float = None) -> SpectrumReport:
+def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumReport:
     """Solve the discretized operator and keep the trusted central band.
 
     The full spectrum comes from LAPACK through ``jacobi_eigh``; the basis
@@ -228,9 +224,6 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = None,
     Eigensection windings come from angle accumulation over the nodes, and
     eigenpairs whose winding cannot be tracked are excluded and counted.
     """
-    cfg = DEFAULT_CONFIG
-    n_nodes = cfg.spectrum_nodes if n_nodes is None else n_nodes
-    gap_tol = cfg.gap_tol if gap_tol is None else gap_tol
     m = assemble_matrix(op, n_nodes)
     w, v = jacobi_eigh(m)
     v = _disentangle_clusters(w, v, n_nodes)

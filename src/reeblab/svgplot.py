@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoReturn
+from .errors import NoReturn, NotHyperbolic
 from . import model, orbits, leaves
 from .model import HamiltonianParams
 
@@ -147,7 +147,7 @@ def plot_levels(p: HamiltonianParams) -> str:
         (g1, g2), _, _ = orbits.separatrix_and_homoclinics(p)
         for br in (g1, g2):
             cv.polyline([(x, y) for x, y in br.samples], PALETTE["separatrix"], 1.6)
-    except Exception:
+    except NotHyperbolic:
         pass  # non-hyperbolic presets have no separatrix
     rep = p.structure or orbits.validate_structure(p)
     for cp in rep.points:

@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from reeblab import orbits
 from reeblab.cli import main
 from reeblab.config import RunConfig
+from reeblab.errors import NoReturn
 
 
 def test_config_round_trip():
@@ -161,3 +163,86 @@ def test_config_file_and_flag_override(tmp_path):
     # the flag override moves the axis roots to eps/2 and 2 eps
     locs = sorted(pt["location"][0] for pt in payload["critical_points"])
     assert locs[1] == pytest.approx(0.225, abs=1e-9)
+
+
+@pytest.mark.parametrize("text, named", [
+    ('{"nonsense": 1}', "nonsense"),
+    ('{"ode_tol": 1e-3}', "ode_tol"),  # a numerical constant, not a run input
+    ('{"preset": "no-such-preset"}', "no-such-preset"),
+    ('{"epsilon": 0.5', "line 1"),
+], ids=["unknown-key", "deleted-knob", "unknown-preset", "malformed-json"])
+def test_bad_config_is_a_usage_error(tmp_path, capsys, text, named):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg_path), "--out", str(tmp_path), "orbits"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--config:" in err and named in err
+    assert not (tmp_path / "orbits.json").exists()
+
+
+def _run_with_config(tmp_path, fields: dict, *command):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(fields))
+    out = tmp_path / "out"
+    assert main(["--config", str(cfg_path), "--out", str(out), *command]) == 0
+    return out
+
+
+@pytest.mark.parametrize("fields", [
+    {"preset": "paper-figure"},
+    {"coefficients": {"a": -5.0 / 3.0, "b": -1.5, "c": 1.0, "d": 0.125}},
+])
+def test_config_hamiltonian_reaches_structure(tmp_path, fields):
+    out = _run_with_config(tmp_path, fields, "orbits")
+    payload = json.loads((out / "orbits.json").read_text())
+    # d > 0 turns the origin elliptic and adds two off-axis saddles
+    assert not payload["structure_ok"]
+    assert len(payload["critical_points"]) == 5
+
+
+def test_config_epsilon_reaches_axis_roots(tmp_path):
+    out = _run_with_config(tmp_path, {"epsilon": 0.45}, "orbits")
+    payload = json.loads((out / "orbits.json").read_text())
+    locs = sorted(pt["location"][0] for pt in payload["critical_points"])
+    assert locs == pytest.approx([0.0, 0.225, 0.9], abs=1e-9)
+
+
+def test_config_seed_reaches_projection_pole(tmp_path):
+    svgs = []
+    for run, seed in enumerate((0, 1, 0)):
+        (tmp_path / str(run)).mkdir()
+        out = _run_with_config(tmp_path / str(run), {"seed": seed}, "plot",
+                               "--targets", "orbit3d-projection")
+        svgs.append((out / "plot_orbit3d-projection.svg").read_bytes())
+    assert svgs[0] == svgs[2]
+    assert svgs[0] != svgs[1]
+
+
+def test_config_scan_levels_reaches_scan(tmp_path):
+    out = _run_with_config(tmp_path, {"scan_levels": 4}, "scan")
+    levels = {d["level"] for d in json.loads((out / "scan.json").read_text())
+              ["diagnostics"]}
+    assert len(levels) == 4
+    out = _run_with_config(tmp_path, {"scan_levels": 4}, "validate")
+    payload = json.loads((out / "validate.json").read_text())
+    assert payload["items"]["scan_empty"]["evidence"]["n_levels_scanned"] == 4
+    assert payload["config"] == {"coefficients": None, "epsilon": 0.5,
+                                 "preset": "validated", "scan_levels": 4,
+                                 "seed": 0}
+
+
+def test_plot_levels_figure_preset_has_no_separatrix(tmp_path):
+    assert main(["--out", str(tmp_path), "--preset", "paper-figure", "plot",
+                 "--targets", "levels"]) == 0
+    assert (tmp_path / "plot_levels.svg").read_text().startswith("<?xml")
+
+
+def test_plot_levels_separatrix_failure_is_an_error(tmp_path, monkeypatch):
+    def no_return(p):
+        raise NoReturn("separatrix branch did not return")
+
+    monkeypatch.setattr(orbits, "separatrix_and_homoclinics", no_return)
+    assert main(["--out", str(tmp_path), "plot", "--targets", "levels"]) == 1
+    assert not (tmp_path / "plot_levels.svg").exists()
