@@ -17,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import ReebLabError
-from . import czindex, knots, leaves, model, orbits, spectrum, svgplot
+from .errors import NotHyperbolic, ReebLabError
+from . import czindex, knots, leaves, orbits, spectrum, svgplot
 from .model import HamiltonianParams
 
 
@@ -78,10 +78,7 @@ def run_validate(cfg: RunConfig) -> dict:
     except ReebLabError as exc:
         # the axis circles still exist even when the transverse pattern is
         # wrong; report the chain from the critical values directly
-        axis = sorted(
-            (cp for cp in structure.points if abs(cp.location[1]) < 1e-10),
-            key=lambda cp: cp.location[0],
-        )
+        axis = structure.axis_points
         if len(axis) == 3:
             periods = [np.pi * (1.0 - 2.0 * cp.h2_value) for cp in axis]
             t2, t1, t3 = periods  # axis order: origin, middle, outer
@@ -143,7 +140,7 @@ def run_validate(cfg: RunConfig) -> dict:
                 ok = ok and lk == 0
         sl_ev = {}
         for orbit in trio:
-            sl = knots.self_linking(p, orbit, seed=cfg.seed)
+            _, sl = knots.self_linking(p, orbit, seed=cfg.seed)
             sl_ev[orbit.label] = sl
             ok = ok and sl == -1
         items["linking"] = {
@@ -323,17 +320,14 @@ def _cmd_link(cfg, out: Path, args):
     trio = {o.label: o for o in orbits.special_orbits(p)}
     payload = {}
     if args.pair:
-        la, lb = args.pair.split(",")
+        la, lb = args.pair
         ca = knots.orbit_curve(trio[la])
         cb = knots.orbit_curve(trio[lb])
         raw, lk = knots.gauss_linking(ca, cb, seed=cfg.seed)
         payload["pair"] = {"curves": [la, lb], "raw": raw, "rounded": lk,
                            "guard": abs(raw - lk)}
     if args.self_label:
-        curve = knots.orbit_curve(trio[args.self_label])
-        xbar1, _ = model.frame_sections(p, curve.samples)
-        pushed = knots.pushoff(p, curve, xbar1)
-        raw, lk = knots.gauss_linking(curve, pushed, seed=cfg.seed)
+        raw, lk = knots.self_linking(p, trio[args.self_label], seed=cfg.seed)
         payload["self"] = {"curve": args.self_label, "raw": raw, "rounded": lk,
                            "guard": abs(raw - lk)}
     _write(out / "link.json", dumps(payload))
@@ -425,19 +419,41 @@ def _cmd_homoclinic(cfg, out: Path, args):
 
 def _cmd_plot(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
+    targets = set(args.targets)
+    # the planar figures share one tracing of the level curves and one
+    # separatrix; a non-hyperbolic preset has none, which plot_levels
+    # tolerates and plot_separatrix reports
+    curves = separatrix = None
+    if targets & {"levels", "atlas"}:
+        curves = svgplot.level_curves(p)
+    if targets & {"levels", "atlas", "separatrix"}:
+        try:
+            separatrix = orbits.separatrix_and_homoclinics(p)
+        except NotHyperbolic:
+            pass
     plots = {
-        "levels": lambda: svgplot.plot_levels(p),
-        "atlas": lambda: svgplot.plot_atlas(p),
-        "separatrix": lambda: svgplot.plot_separatrix(p),
+        "levels": lambda: svgplot.plot_levels(p, curves, separatrix),
+        "atlas": lambda: svgplot.plot_atlas(
+            p, leaves.foliation_atlas(p, separatrix=separatrix), curves),
+        "separatrix": lambda: svgplot.plot_separatrix(p, separatrix),
         "orbit3d-projection": lambda: svgplot.plot_orbit_projection(
             p, seed=cfg.seed),
     }
-    for target in sorted(set(args.targets)):
+    for target in sorted(targets):
         _write(out / f"plot_{target}.svg", plots[target]())
 
 
 # ---------------------------------------------------------------------------
 # entry point
+
+
+def _orbit_pair(text: str) -> tuple:
+    labels = tuple(text.split(","))
+    if len(labels) != 2 or labels[0] == labels[1] \
+            or not set(labels) <= {"P1", "P2", "P3"}:
+        raise argparse.ArgumentTypeError(
+            f"expected two distinct labels from P1, P2, P3, got {text!r}")
+    return labels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -474,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     spp.set_defaults(func=_cmd_spectrum)
 
     lkp = sub.add_parser("link")
-    lkp.add_argument("--pair", type=str, default=None,
+    lkp.add_argument("--pair", type=_orbit_pair, default=None,
                      help="e.g. P1,P3")
     lkp.add_argument("--self", dest="self_label", type=str, default=None,
                      choices=["P1", "P2", "P3"])
@@ -511,8 +527,11 @@ def main(argv=None) -> int:
             cfg = RunConfig.from_json(Path(args.config).read_text())
         except (OSError, ValueError) as exc:
             ap.error(f"--config: {exc}")
-    cfg = cfg.with_overrides(preset=args.preset, epsilon=args.epsilon,
-                             seed=args.seed)
+    try:
+        cfg = cfg.with_overrides(preset=args.preset, epsilon=args.epsilon,
+                                 seed=args.seed)
+    except ValueError as exc:
+        ap.error(str(exc))
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

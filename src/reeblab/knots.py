@@ -137,14 +137,14 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
 
 
 def self_linking(p: HamiltonianParams, orbit: ReebOrbit, n: int = 1024,
-                 offset: float = 1e-2, seed: int = 0) -> int:
+                 offset: float = 1e-2, seed: int = 0):
     """Self-linking number: Gauss linking of the orbit with its push-off
-    along the first global contact-frame section."""
+    along the first global contact-frame section.  Returns (raw, lk) as
+    gauss_linking does."""
     curve = orbit_curve(orbit, n)
     xbar1, _ = model.frame_sections(p, curve.samples)
     pushed = pushoff(p, curve, xbar1, offset=offset)
-    raw, lk = gauss_linking(curve, pushed, seed=seed)
-    return lk
+    return gauss_linking(curve, pushed, seed=seed)
 
 
 def hopf_circles(n: int = 1024):

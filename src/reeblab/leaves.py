@@ -109,10 +109,7 @@ def profile_rhs(p: HamiltonianParams, g: float) -> float:
 def solve_xbar(p: HamiltonianParams, root_tol: float = 1e-12):
     """Energy-cap roots of H2(x, 0) = 1/2: the unique positive solution
     (bisection on (p3, 2] polished by Newton) and the negative one."""
-    rep = p.structure or orbits.validate_structure(p)
-    axis = sorted(cp.location[0] for cp in rep.points
-                  if abs(cp.location[1]) < 1e-10)
-    p3 = axis[-1]
+    p3 = orbits.structure_of(p).axis_points[-1].location[0]
 
     def fun(x):
         return float(model.h2_eval(p, x, 0.0)) - 0.5
@@ -149,10 +146,8 @@ def solve_xbar(p: HamiltonianParams, root_tol: float = 1e-12):
 
 
 def _interval_bounds(p: HamiltonianParams, interval_id: str):
-    rep = p.structure or orbits.validate_structure(p)
-    axis = sorted(cp.location[0] for cp in rep.points
-                  if abs(cp.location[1]) < 1e-10)
-    origin, p1, p3 = axis
+    origin, p1, p3 = (cp.location[0]
+                      for cp in orbits.structure_of(p).axis_points)
     xp, xm = solve_xbar(p)
     table = {
         "disk_to_P2": (xm, origin),
@@ -410,10 +405,13 @@ def fredholm_index(mu_pos: int, mu_negs, n_punctures: int) -> int:
     return mu_pos - sum(mu_negs) - 2 + n_punctures
 
 
-def foliation_atlas(p: HamiltonianParams, n_t: int = 128):
+def foliation_atlas(p: HamiltonianParams, n_t: int = 128, separatrix=None):
     """All four explicit leaves with diagnostics, role labels, index
     arithmetic and the separatrix shadow standing in for the off-axis
-    rigid cylinders (which the symmetric ansatz cannot reach)."""
+    rigid cylinders (which the symmetric ansatz cannot reach).
+
+    `separatrix` is the result of orbits.separatrix_and_homoclinics,
+    computed here when not given."""
     trio = {o.label: o for o in orbits.special_orbits(p)}
     mus = {"P1": 1, "P2": 2, "P3": 3}
     leaves = {}
@@ -440,7 +438,7 @@ def foliation_atlas(p: HamiltonianParams, n_t: int = 128):
             "fredholm_index": ind,
             "wind_pi": wind_pi,
         }
-    (g1, g2), homoclinic, conv = orbits.separatrix_and_homoclinics(p)
+    (g1, g2), _, conv = separatrix or orbits.separatrix_and_homoclinics(p)
     return {
         "leaves": leaves,
         "binding_orbits": trio,

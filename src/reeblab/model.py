@@ -278,10 +278,6 @@ class ContactFrame:
     def coords(self, v):
         return frame_coords(self.base, self.Xbar1, self.Xbar2, v)
 
-    def from_coords(self, ab):
-        ab = np.asarray(ab, float)
-        return ab[..., 0, None] * self.Xbar1 + ab[..., 1, None] * self.Xbar2
-
     def apply_J(self, v):
         ab = np.asarray(self.coords(v), float)
         return ab[..., 0, None] * self.Xbar2 - ab[..., 1, None] * self.Xbar1

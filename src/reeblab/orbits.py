@@ -4,9 +4,10 @@ The planar factor of the Hamiltonian has (for the validated coefficients)
 exactly three critical points on the symmetry axis; over each sits a circle
 of the full flow, giving the three binding orbits.  This module finds and
 classifies the critical points, builds the orbits with their closed-form
-periods, measures actions of general product loops, scans resonant levels
-for low-action competitors, and traces the saddle separatrix whose product
-with the base circle is the homoclinic set.
+periods, measures actions of general product loops, traces each component
+of a planar level set once, scans resonant levels for low-action
+competitors, and traces the saddle separatrix whose product with the base
+circle is the homoclinic set.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class CriticalPoint:
     k1: Optional[float]
     k2: Optional[float]
 
-    @property
-    def on_axis(self) -> bool:
-        return self.k1 is not None
-
 
 @dataclass
 class StructureReport:
@@ -58,6 +55,13 @@ class StructureReport:
     @property
     def ok(self) -> bool:
         return self.count_ok and self.pattern_ok
+
+    @property
+    def axis_points(self) -> list:
+        """The critical points on the symmetry axis, sorted by x."""
+        return sorted((cp for cp in self.points
+                       if abs(cp.location[1]) < 1e-10),
+                      key=lambda cp: cp.location[0])
 
 
 @dataclass
@@ -208,18 +212,18 @@ def validate_structure(p: HamiltonianParams) -> StructureReport:
         anomalies.append(
             f"expected 3 critical points, found {len(points)}"
         )
-    pattern_ok = False
-    axis_pts = [cp for cp in points if abs(cp.location[1]) < 1e-10]
-    by_x = sorted(axis_pts, key=lambda cp: cp.location[0])
+    report = StructureReport(points=points, count_ok=count_ok,
+                             pattern_ok=False, anomalies=anomalies)
+    by_x = report.axis_points
     if len(by_x) == 3 and abs(by_x[0].location[0]) < 1e-10:
-        origin, mid, outer = by_x[0], by_x[1], by_x[2]
+        origin, mid, outer = by_x
         signs = [
             (int(np.sign(mid.k1)), int(np.sign(mid.k2))),
             (int(np.sign(origin.k1)), int(np.sign(origin.k2))),
             (int(np.sign(outer.k1)), int(np.sign(outer.k2))),
         ]
-        pattern_ok = signs == [(1, -1), (1, 1), (-1, 1)]
-        if not pattern_ok:
+        report.pattern_ok = signs == [(1, -1), (1, 1), (-1, 1)]
+        if not report.pattern_ok:
             anomalies.append(f"transverse sign pattern {signs} != [(+,-),(+,+),(-,+)]")
             if origin.flow_type != "hyperbolic":
                 anomalies.append(
@@ -228,10 +232,13 @@ def validate_structure(p: HamiltonianParams) -> StructureReport:
                 )
     else:
         anomalies.append("axis pattern 0 = p2 < p1 < p3 not found")
-    report = StructureReport(points=points, count_ok=count_ok,
-                             pattern_ok=pattern_ok, anomalies=anomalies)
     p.structure = report
     return report
+
+
+def structure_of(p: HamiltonianParams) -> StructureReport:
+    """The structure report cached on `p`, validated on first use."""
+    return p.structure or validate_structure(p)
 
 
 # ---------------------------------------------------------------------------
@@ -246,16 +253,10 @@ def special_orbits(p: HamiltonianParams):
     naming the violated inequality if the period chain T1 < T2 < T3 < 2 T1
     fails, and StructureMismatch if the sign pattern does not match.
     """
-    if p.structure is None:
-        validate_structure(p)
-    rep = p.structure
+    rep = structure_of(p)
     if not rep.ok:
         raise StructureMismatch("; ".join(rep.anomalies) or "structure invalid")
-    axis_pts = sorted(
-        (cp for cp in rep.points if abs(cp.location[1]) < 1e-10),
-        key=lambda cp: cp.location[0],
-    )
-    origin, mid, outer = axis_pts
+    origin, mid, outer = rep.axis_points
 
     def build(label, cp):
         r2 = 1.0 - 2.0 * cp.h2_value
@@ -474,21 +475,41 @@ def claim1_check(p: HamiltonianParams, orbit_or_loop, t_ham: float = None,
 # resonant level scan
 
 
-def _dedupe_components(p: HamiltonianParams, level: float, seeds: np.ndarray,
-                       loops: list) -> list:
-    """Keep one representative seed per level-set component by checking
-    which seeds lie on an already-traced loop."""
-    kept = []
-    for i, (seed, loop) in enumerate(zip(seeds, loops)):
-        duplicate = False
-        for _, other in kept:
-            d = np.min(np.hypot(other[:, 0] - seed[0], other[:, 1] - seed[1]))
-            if d < 1e-4:
-                duplicate = True
-                break
-        if not duplicate:
-            kept.append((seed, loop))
-    return kept
+def _on_loop(seed, loop: np.ndarray) -> bool:
+    """Whether `seed` lies on the sampled closed loop: it is closer to its
+    nearest sample than that sample is to either neighbour."""
+    d = np.hypot(loop[:, 0] - seed[0], loop[:, 1] - seed[1])
+    i = int(np.argmin(d))
+    nbrs = loop[[i - 1, (i + 1) % len(loop)]] - loop[i]
+    return bool(d[i] < np.min(np.hypot(nbrs[:, 0], nbrs[:, 1])))
+
+
+def level_components(p: HamiltonianParams, level: float,
+                     max_time: float = 1e4, tol: float = 1e-10,
+                     n_loop: int = 2048):
+    """Trace each component of the level set H2 = level once.
+
+    Walks the axis seeds of the level and integrates one only if it is not
+    a critical point and does not lie on a loop already traced.  Returns
+    (components, no_return): components is a list of (seed, tau, area,
+    loop) as from planar_period_and_area, in seed order; no_return lists
+    (seed, elapsed) for the seeds whose loop did not return in max_time.
+    """
+    crit = np.array([cp.location for cp in structure_of(p).points])
+    components, no_return = [], []
+    for seed in axis_level_seeds(p, level):
+        if np.min(np.hypot(crit[:, 0] - seed[0], crit[:, 1] - seed[1])) < 1e-6:
+            continue  # a critical point is a constant loop
+        if any(_on_loop(seed, comp[3]) for comp in components):
+            continue
+        try:
+            tau, area, loop = planar_period_and_area(
+                p, level, seed, max_time=max_time, tol=tol, n_loop=n_loop)
+        except NoReturn as exc:
+            no_return.append((seed, exc.elapsed))
+            continue
+        components.append((seed, tau, area, loop))
+    return components, no_return
 
 
 def resonant_orbit_scan(
@@ -511,46 +532,21 @@ def resonant_orbit_scan(
     the success mode.  Levels whose loops do not return in the horizon are
     recorded as diagnostics.
     """
-    if p.structure is None:
-        validate_structure(p)
-    axis_pts = sorted(
-        (cp for cp in p.structure.points if abs(cp.location[1]) < 1e-10),
-        key=lambda cp: cp.location[0],
-    )
-    vals = sorted(cp.h2_value for cp in axis_pts)
+    vals = sorted(cp.h2_value for cp in structure_of(p).axis_points)
     if level_lo is None:
         level_lo = vals[0]
     if level_hi is None:
         level_hi = vals[-1]
-    crit_locs = np.array([cp.location for cp in p.structure.points])
 
     candidates = []
     diagnostics = []
     for k in range(n_levels):
         level = level_lo + (k + 0.5) * (level_hi - level_lo) / n_levels
-        seeds = axis_level_seeds(p, level)
-        loops = []
-        entries = []
-        for seed in seeds:
-            d_crit = np.min(np.hypot(crit_locs[:, 0] - seed[0],
-                                     crit_locs[:, 1] - seed[1]))
-            if d_crit < 1e-6:
-                continue  # special orbits excluded: nonconstant planar scan
-            try:
-                tau, area, loop = planar_period_and_area(p, level, seed)
-            except NoReturn as exc:
-                diagnostics.append({"level": level, "seed": tuple(seed),
-                                    "status": "no-return",
-                                    "elapsed": exc.elapsed})
-                continue
-            entries.append((seed, tau, area, loop))
-            loops.append(loop)
-        comp = _dedupe_components(p, level, [e[0] for e in entries],
-                                  [e[3] for e in entries])
-        comp_seeds = {tuple(np.round(s, 10)) for s, _ in comp}
-        for seed, tau, area, loop in entries:
-            if tuple(np.round(seed, 10)) not in comp_seeds:
-                continue
+        components, no_return = level_components(p, level)
+        for seed, elapsed in no_return:
+            diagnostics.append({"level": level, "seed": tuple(seed),
+                                "status": "no-return", "elapsed": elapsed})
+        for seed, tau, area, loop in components:
             best = None
             for m2 in range(1, m2_cap + 1):
                 m1 = int(np.ceil(m2 * tau / (2.0 * np.pi) - resonance_tol))

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NoReturn, NotHyperbolic
-from . import model, orbits, leaves
+from .errors import NotHyperbolic
+from . import orbits, leaves
 from .model import HamiltonianParams
 
 VIEW = 800.0
@@ -96,69 +96,51 @@ class SvgCanvas:
         return head + title + "\n".join(self.parts) + "\n</svg>\n"
 
 
-def _trace_level(p: HamiltonianParams, level: float):
-    """Closed polylines of the level set of the planar factor at `level`,
-    one per component found from axis seeds."""
-    loops = []
-    seeds = orbits.axis_level_seeds(p, level)
-    for seed in seeds:
-        q, pp = model.h2_grad(p, seed[0], seed[1])
-        if np.hypot(q, pp) < 1e-9:
-            continue
-        dup = False
-        for loop in loops:
-            if np.min(np.hypot(loop[:, 0] - seed[0], loop[:, 1] - seed[1])) < 1e-3:
-                dup = True
-                break
-        if dup:
-            continue
-        try:
-            _, _, loop = orbits.planar_period_and_area(p, level, seed,
-                                                       max_time=500.0,
-                                                       tol=1e-9, n_loop=512)
-        except (NoReturn, ValueError):
-            continue
-        loops.append(loop)
-    return loops
-
-
-def _level_values(p: HamiltonianParams):
-    rep = p.structure or orbits.validate_structure(p)
-    vals = sorted(cp.h2_value for cp in rep.points
-                  if abs(cp.location[1]) < 1e-10)
+def level_curves(p: HamiltonianParams) -> list:
+    """Closed polylines of the planar level sets drawn in the figures, one
+    per component, level by level."""
+    vals = sorted(cp.h2_value for cp in orbits.structure_of(p).axis_points)
     lo, hi = vals[0], vals[-1]
-    return [0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi,
-            3.0 * hi, 10.0 * hi, 0.25]
+    curves = []
+    for level in (0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi,
+                  3.0 * hi, 10.0 * hi, 0.25):
+        components, _ = orbits.level_components(p, level, max_time=500.0,
+                                                tol=1e-9, n_loop=512)
+        curves += [loop for _, _, _, loop in components]
+    return curves
 
 
-def plot_levels(p: HamiltonianParams) -> str:
-    """Level curves of the planar factor with the critical points."""
+def plot_levels(p: HamiltonianParams, curves=None, separatrix=None) -> str:
+    """Level curves of the planar factor with the critical points.
+
+    `curves` (from level_curves) and `separatrix` (from
+    orbits.separatrix_and_homoclinics) are computed here when not given.
+    """
     e = p.epsilon
     box = (-1.2 * e * 3, 1.2 * e * 3.4, -1.8 * e * 2, 1.8 * e * 2)
     cv = SvgCanvas(box, title=f"planar energy levels (eps={p.epsilon:g}, "
                               f"preset={p.preset_name})")
     cv.polyline([(box[0], 0.0), (box[1], 0.0)], PALETTE["axis"], 0.6)
     cv.polyline([(0.0, box[2]), (0.0, box[3])], PALETTE["axis"], 0.6)
-    for level in _level_values(p):
-        for loop in _trace_level(p, level):
-            pts = [(x, y) for x, y in loop]
-            cv.polyline(pts + pts[:1], PALETTE["level"], 1.0)
+    for loop in level_curves(p) if curves is None else curves:
+        pts = [(x, y) for x, y in loop]
+        cv.polyline(pts + pts[:1], PALETTE["level"], 1.0)
     try:
-        (g1, g2), _, _ = orbits.separatrix_and_homoclinics(p)
+        (g1, g2), _, _ = separatrix or orbits.separatrix_and_homoclinics(p)
         for br in (g1, g2):
             cv.polyline([(x, y) for x, y in br.samples], PALETTE["separatrix"], 1.6)
     except NotHyperbolic:
         pass  # non-hyperbolic presets have no separatrix
-    rep = p.structure or orbits.validate_structure(p)
-    for cp in rep.points:
+    for cp in orbits.structure_of(p).points:
         cv.circle(cp.location[0], cp.location[1], 4.0, PALETTE["binding"])
         cv.text(cp.location[0] + 0.02, cp.location[1] + 0.05,
                 cp.hessian_signature, size=12)
     return cv.render()
 
 
-def plot_separatrix(p: HamiltonianParams) -> str:
-    (g1, g2), traj, report = orbits.separatrix_and_homoclinics(p)
+def plot_separatrix(p: HamiltonianParams, separatrix=None) -> str:
+    (g1, g2), traj, report = (separatrix
+                              or orbits.separatrix_and_homoclinics(p))
     e = p.epsilon
     box = (-1.0 * e, 3.0 * e, -1.4 * e, 1.4 * e)
     cv = SvgCanvas(box, title="separatrix branches and homoclinic shadow")
@@ -178,7 +160,7 @@ def plot_separatrix(p: HamiltonianParams) -> str:
     return cv.render()
 
 
-def plot_atlas(p: HamiltonianParams, atlas=None) -> str:
+def plot_atlas(p: HamiltonianParams, atlas=None, curves=None) -> str:
     """Projection of the explicit foliation onto the planar factor: level
     curves, binding points, the four axis profiles and the separatrix
     shadow of the off-axis cylinders."""
@@ -188,9 +170,8 @@ def plot_atlas(p: HamiltonianParams, atlas=None) -> str:
     e = p.epsilon
     box = (xm - 0.4 * e, xp + 0.4 * e, -1.6 * e, 1.6 * e)
     cv = SvgCanvas(box, title="explicit foliation atlas (axis shadows)")
-    for level in _level_values(p):
-        for loop in _trace_level(p, level):
-            cv.polyline([(x, y) for x, y in loop], PALETTE["level"], 0.8)
+    for loop in level_curves(p) if curves is None else curves:
+        cv.polyline([(x, y) for x, y in loop], PALETTE["level"], 0.8)
     shadow = atlas["separatrix_shadow"]
     for key in ("gamma1", "gamma2"):
         cv.polyline([(x, y) for x, y in shadow[key].samples],

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import reeblab
 from reeblab import orbits
 from reeblab.cli import main
 from reeblab.config import RunConfig
@@ -170,7 +175,18 @@ def test_config_file_and_flag_override(tmp_path):
     ('{"ode_tol": 1e-3}', "ode_tol"),  # a numerical constant, not a run input
     ('{"preset": "no-such-preset"}', "no-such-preset"),
     ('{"epsilon": 0.5', "line 1"),
-], ids=["unknown-key", "deleted-knob", "unknown-preset", "malformed-json"])
+    ('{"coefficients": {"a": 1}}', "coefficients"),
+    ('{"coefficients": {"a": NaN, "b": -1.5, "c": 1, "d": -0.125}}',
+     "coefficients a"),
+    ('{"epsilon": "x"}', "epsilon"),
+    ('{"epsilon": -1}', "epsilon"),
+    ('{"seed": 1.5}', "seed"),
+    ('{"scan_levels": 0}', "scan_levels"),
+    ('{"scan_levels": true}', "scan_levels"),
+], ids=["unknown-key", "deleted-knob", "unknown-preset", "malformed-json",
+        "missing-coefficients", "nan-coefficient", "epsilon-string",
+        "epsilon-negative", "float-seed", "zero-scan-levels",
+        "bool-scan-levels"])
 def test_bad_config_is_a_usage_error(tmp_path, capsys, text, named):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(text)
@@ -180,6 +196,22 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text, named):
     err = capsys.readouterr().err
     assert "--config:" in err and named in err
     assert not (tmp_path / "orbits.json").exists()
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["--epsilon", "-1", "orbits"], "epsilon"),
+    (["--epsilon", "nan", "orbits"], "epsilon"),
+    (["link", "--pair", "P1"], "'P1'"),
+    (["link", "--pair", "P1,P9"], "'P1,P9'"),
+    (["link", "--pair", "P2,P2"], "'P2,P2'"),
+], ids=["epsilon-negative", "epsilon-nan", "pair-one-label",
+        "pair-unknown-label", "pair-repeated-label"])
+def test_bad_flag_is_a_usage_error(tmp_path, capsys, argv, named):
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), *argv])
+    assert exc.value.code == 2
+    assert named in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
 
 
 def _run_with_config(tmp_path, fields: dict, *command):
@@ -246,3 +278,40 @@ def test_plot_levels_separatrix_failure_is_an_error(tmp_path, monkeypatch):
     monkeypatch.setattr(orbits, "separatrix_and_homoclinics", no_return)
     assert main(["--out", str(tmp_path), "plot", "--targets", "levels"]) == 1
     assert not (tmp_path / "plot_levels.svg").exists()
+
+
+def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
+    calls = []
+    traced = orbits.separatrix_and_homoclinics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return traced(*args, **kwargs)
+
+    monkeypatch.setattr(orbits, "separatrix_and_homoclinics", counted)
+    assert main(["--out", str(tmp_path), "plot", "--targets", "levels",
+                 "atlas", "separatrix"]) == 0
+    assert len(calls) == 1
+
+
+def test_reports_identical_across_processes(tmp_path):
+    """validate and plot write the same bytes in fresh interpreters with
+    different string-hash seeds."""
+    src = str(Path(reeblab.__file__).resolve().parents[1])
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"scan_levels": 8}))
+    blobs = []
+    for hashseed in ("1", "2"):
+        out = tmp_path / f"hash{hashseed}"
+        env = dict(os.environ, PYTHONHASHSEED=hashseed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        for command in (["validate"],
+                        ["plot", "--targets", "levels", "atlas",
+                         "separatrix", "orbit3d-projection"]):
+            subprocess.run([sys.executable, "-m", "reeblab", "--config",
+                            str(cfg_path), "--out", str(out), *command],
+                           env=env, check=True, capture_output=True)
+        blobs.append({f.name: f.read_bytes() for f in sorted(out.iterdir())})
+    assert len(blobs[0]) == 5
+    assert blobs[0] == blobs[1]

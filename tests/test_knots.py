@@ -44,7 +44,8 @@ def test_binding_orbits_pairwise_unlinked(params, trio):
 
 def test_self_linking_is_minus_one(params, trio):
     for orbit in trio:
-        assert knots.self_linking(params, orbit) == -1
+        _, lk = knots.self_linking(params, orbit)
+        assert lk == -1
 
 
 def test_self_linking_offset_trend(params, trio):

@@ -171,6 +171,41 @@ def test_scan_skips_critical_seeds(params):
     assert all(abs(c["level"] - vals[-1]) > 1e-16 for c in cands)
 
 
+def test_scan_reports_each_component_once(params):
+    """A component's loop is traced from its first axis seed only; every
+    other seed on it is skipped, so no two entries repeat a loop."""
+    cands, diags = orbits.resonant_orbit_scan(params, 10.0, n_levels=12)
+    entries = cands + [d for d in diags if "tau" in d]
+    assert cands and len(entries) > 12
+    for i, e in enumerate(entries):
+        for f in entries[:i]:
+            assert not (e["level"] == f["level"]
+                        and e["tau"] == pytest.approx(f["tau"], rel=1e-8)
+                        and e["area"] == pytest.approx(f["area"], rel=1e-6))
+
+
+@pytest.mark.parametrize("offset", [1e-5, -1e-5, 1e-8, -1e-8])
+def test_level_components_match_every_seed_traced(params, offset):
+    """Oracle: trace every non-critical axis seed and group the loops by
+    enclosed area.  Near the saddle value the components crowd together;
+    loops of one component traced from different seeds agree in area to
+    about 1e-7, while distinct components differ at order one."""
+    saddle = next(cp for cp in params.structure.points
+                  if cp.hessian_signature == "saddle")
+    level = saddle.h2_value + offset
+    comps, no_return = orbits.level_components(params, level)
+    assert no_return == []
+    areas = []
+    for seed in orbits.axis_level_seeds(params, level):
+        if np.hypot(*model.h2_grad(params, seed[0], seed[1])) < 1e-9:
+            continue
+        _, area, _ = orbits.planar_period_and_area(params, level, seed)
+        if not any(area == pytest.approx(a, rel=1e-4) for a in areas):
+            areas.append(area)
+    assert sorted(area for _, _, area, _ in comps) == pytest.approx(
+        sorted(areas), rel=1e-6)
+
+
 def test_claim_bound_on_base_orbit(params, trio):
     res = orbits.claim1_check(params, trio[1])
     assert res["h_sup"] >= 1.0
