@@ -18,7 +18,7 @@ import numpy as np
 
 from .config import RunConfig
 from .errors import NotHyperbolic, ReebLabError
-from . import czindex, knots, leaves, orbits, spectrum, svgplot
+from . import czindex, knots, leaves, model, orbits, spectrum, svgplot
 from .model import HamiltonianParams
 
 
@@ -37,6 +37,12 @@ def dumps(payload) -> str:
 def _write(path: Path, text: str) -> None:
     path.write_text(text)
     print(f"wrote {path}")
+
+
+def _csv(header: str, rows) -> str:
+    """CSV text: the header line, then one line per row of numbers (.12g)."""
+    lines = [header] + [",".join(f"{v:.12g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -65,35 +71,43 @@ def run_validate(cfg: RunConfig) -> dict:
         "points": [asdict(cp) for cp in structure.points],
     }
 
-    trio = None
-    # (i) period chain
+    # (i) period chain, from the critical values of the axis points;
+    # special_orbits checks the same chain and the sign pattern, so its
+    # error is the note when it refuses
+    axis = structure.axis_points
+    trio = note = None
     try:
         trio = orbits.special_orbits(p)
-        t1, t2, t3 = (o.reeb_period for o in trio)
-        ok = t1 < t2 < t3 < 2 * t1
-        items["period_chain"] = {
-            "status": "pass" if ok else "fail",
-            "evidence": {"T1": t1, "T2": t2, "T3": t3, "2T1": 2 * t1},
-        }
     except ReebLabError as exc:
-        # the axis circles still exist even when the transverse pattern is
-        # wrong; report the chain from the critical values directly
-        axis = structure.axis_points
-        if len(axis) == 3:
-            periods = [np.pi * (1.0 - 2.0 * cp.h2_value) for cp in axis]
-            t2, t1, t3 = periods  # axis order: origin, middle, outer
-            ok = t1 < t2 < t3 < 2 * t1
-            items["period_chain"] = {
-                "status": "pass" if ok else "fail",
-                "evidence": {"T1": t1, "T2": t2, "T3": t3, "2T1": 2 * t1,
-                             "note": str(exc)},
-            }
-        else:
-            items["period_chain"] = {"status": "fail",
-                                     "evidence": {"error": str(exc)}}
+        note = str(exc)
+    if len(axis) == 3:
+        t2, t1, t3 = (np.pi * (1.0 - 2.0 * cp.h2_value) for cp in axis)
+        evidence = {"T1": t1, "T2": t2, "T3": t3, "2T1": 2 * t1}
+        if note is not None:
+            evidence["note"] = note
+        items["period_chain"] = {
+            "status": "pass" if t1 < t2 < t3 < 2 * t1 else "fail",
+            "evidence": evidence,
+        }
+    else:
+        items["period_chain"] = {"status": "fail", "evidence": {"error": note}}
 
-    # index pattern by all methods
-    if trio is not None and structure.pattern_ok:
+    quad_ev = {}
+    if trio is None:
+        origin = next(
+            (cp for cp in structure.points
+             if np.hypot(*cp.location) < 1e-9), None)
+        evidence = {"anomalies": structure.anomalies}
+        if origin is not None and origin.k1 is not None:
+            evidence["origin_flow_type"] = origin.flow_type
+            evidence["k1k2"] = origin.k1 * origin.k2
+        items["index_pattern"] = {"status": "fail", "evidence": evidence}
+        reason = {"reason": "special orbits unavailable "
+                            "(critical-point pattern invalid)"}
+        for key in ("linking", "scan_empty", "leaf_existence"):
+            items[key] = {"status": "not-checkable", "evidence": dict(reason)}
+    else:
+        # index pattern by all methods
         per_orbit = {}
         ok = True
         for orbit, want in zip(trio, (1, 2, 3)):
@@ -111,23 +125,8 @@ def run_validate(cfg: RunConfig) -> dict:
             "status": "pass" if ok else "fail",
             "evidence": per_orbit,
         }
-    else:
-        origin = next(
-            (cp for cp in structure.points
-             if np.hypot(*cp.location) < 1e-9), None)
-        evidence = {"anomalies": structure.anomalies}
-        if origin is not None and origin.k1 is not None:
-            evidence["origin_flow_type"] = origin.flow_type
-            evidence["k1k2"] = origin.k1 * origin.k2
-        items["index_pattern"] = {"status": "fail", "evidence": evidence}
 
-    # pairwise unlinking
-    if trio is None:
-        reason = {"reason": "special orbits unavailable "
-                            "(critical-point pattern invalid)"}
-        for key in ("linking", "scan_empty", "leaf_existence"):
-            items[key] = {"status": "not-checkable", "evidence": dict(reason)}
-    if trio is not None:
+        # pairwise unlinking
         pair_ev = {}
         ok = True
         for i in range(3):
@@ -148,8 +147,7 @@ def run_validate(cfg: RunConfig) -> dict:
             "evidence": {"pairwise": pair_ev, "self_linking": sl_ev},
         }
 
-    # (ii) resonance scan emptiness below the top period
-    if trio is not None:
+        # (ii) resonance scan emptiness below the top period
         t3 = trio[2].reeb_period
         cands, diags = orbits.resonant_orbit_scan(
             p, t3, n_levels=cfg.scan_levels)
@@ -167,8 +165,7 @@ def run_validate(cfg: RunConfig) -> dict:
             },
         }
 
-    # (iii) existence of the explicit leaves
-    if trio is not None and structure.pattern_ok:
+        # (iii) existence of the explicit leaves
         try:
             leaf_ev = {}
             for iid in ("plane_to_P3", "cyl_P3_P1"):
@@ -186,16 +183,9 @@ def run_validate(cfg: RunConfig) -> dict:
         except ReebLabError as exc:
             items["leaf_existence"] = {"status": "fail",
                                        "evidence": {"error": str(exc)}}
-    elif trio is not None:
-        items["leaf_existence"] = {
-            "status": "fail",
-            "evidence": {"reason": "structure pattern invalid"},
-        }
 
-    # sphere obstruction: not decidable numerically; the quadrant
-    # dichotomy along the hyperbolic orbit is the supporting evidence
-    quad_ev = {}
-    if trio is not None and structure.pattern_ok:
+        # sphere obstruction: not decidable numerically; the quadrant
+        # dichotomy along the hyperbolic orbit is the supporting evidence
         def sec_e1(taus):
             taus = np.atleast_1d(taus)
             out = np.zeros(taus.shape + (2,))
@@ -309,10 +299,8 @@ def _cmd_spectrum(cfg, out: Path, args):
     stem = f"spectrum_{label}_k{iterate}"
     _write(out / f"{stem}.json", dumps(payload))
     if args.format == "csv":
-        lines = ["eigenvalue,winding"]
-        for w_, k_ in zip(rep.eigenvalues, rep.windings):
-            lines.append(f"{w_:.12g},{k_}")
-        _write(out / f"{stem}.csv", "\n".join(lines) + "\n")
+        _write(out / f"{stem}.csv", _csv("eigenvalue,winding",
+                                         zip(rep.eigenvalues, rep.windings)))
 
 
 def _cmd_link(cfg, out: Path, args):
@@ -345,11 +333,9 @@ def _cmd_leaf(cfg, out: Path, args):
         "diagnostics": asdict(diag),
     }
     _write(out / f"leaf_{which}.json", dumps(payload))
-    if (args.emit or args.format) == "csv":
-        lines = ["s,g,f,a"]
-        for s_, g_, f_, a_ in zip(prof.s, prof.g, prof.f, prof.a):
-            lines.append(f"{s_:.12g},{g_:.12g},{f_:.12g},{a_:.12g}")
-        _write(out / f"leaf_{which}.csv", "\n".join(lines) + "\n")
+    if args.format == "csv":
+        _write(out / f"leaf_{which}.csv",
+               _csv("s,g,f,a", zip(prof.s, prof.g, prof.f, prof.a)))
 
 
 def _cmd_atlas(cfg, out: Path, args):
@@ -408,13 +394,12 @@ def _cmd_homoclinic(cfg, out: Path, args):
     }
     _write(out / "homoclinic.json", dumps(payload))
     if args.format == "csv":
-        _write(out / "homoclinic.csv", traj.to_csv(p))
+        h, _, _ = model.hamiltonian_eval(p, traj.states)
+        _write(out / "homoclinic.csv", _csv(
+            "t,x1,y1,x2,y2,H", np.column_stack([traj.t, traj.states, h])))
         for br in (g1, g2):
-            lines = ["x2,y2"]
-            for x, y in br.samples:
-                lines.append(f"{x:.12g},{y:.12g}")
             _write(out / f"separatrix_{br.branch_id}.csv",
-                   "\n".join(lines) + "\n")
+                   _csv("x2,y2", br.samples))
 
 
 def _cmd_plot(cfg, out: Path, args):
@@ -498,7 +483,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     lfp = sub.add_parser("leaf")
     lfp.add_argument("--which", choices=list(leaves.INTERVALS), required=True)
-    lfp.add_argument("--emit", choices=["json", "csv"], default=None)
     lfp.set_defaults(func=_cmd_leaf)
 
     sub.add_parser("atlas").set_defaults(func=_cmd_atlas)

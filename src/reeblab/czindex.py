@@ -69,21 +69,17 @@ class EigenFrame:
 # winding numbers
 
 
-def _direction_angles(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
-    """Unwrapped angle tracks (n_nodes, n_dirs) of Phi(t) applied to unit
-    directions; raises SamplingTooCoarse if any per-step increment exceeds
-    pi/2 after one refinement."""
+def _direction_turns(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
+    """Windings (n_dirs,) of Phi(t) applied to unit directions, in turns;
+    raises SamplingTooCoarse if any per-step increment exceeds pi/2 after
+    one refinement."""
     mats = path.mats
     for attempt in range(2):
-        vecs = np.einsum("nij,dj->nid", mats, dirs)
-        ang = np.arctan2(vecs[:, 1, :], vecs[:, 0, :])
-        steps = np.diff(ang, axis=0)
-        steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-        if np.max(np.abs(steps)) < 0.5 * np.pi:
-            return np.concatenate([ang[:1], ang[:1] + np.cumsum(steps, axis=0)])
+        turns, step = model.winding_turns(np.einsum("nij,dj->nid", mats, dirs))
+        if np.max(step) < 0.5 * np.pi:
+            return turns
         if attempt == 0:
-            dense = path.resampled(4 * (path.n_nodes - 1) + 1)
-            mats = dense.mats
+            mats = path.resampled(4 * (path.n_nodes - 1) + 1).mats
     raise SamplingTooCoarse("angle increments exceed pi/2 even after refinement")
 
 
@@ -93,15 +89,13 @@ def winding_number(path: SymplecticPath, z0) -> float:
         raise ValueError("path must carry at least 64 nodes")
     z0 = np.asarray(z0, float)
     z0 = z0 / np.linalg.norm(z0)
-    track = _direction_angles(path, z0[None, :])
-    return float((track[-1, 0] - track[0, 0]) / (2.0 * np.pi))
+    return float(_direction_turns(path, z0[None, :])[0])
 
 
 def _winding_of_direction_angle(path: SymplecticPath, phis) -> np.ndarray:
     phis = np.atleast_1d(np.asarray(phis, float))
     dirs = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
-    track = _direction_angles(path, dirs)
-    return (track[-1] - track[0]) / (2.0 * np.pi)
+    return _direction_turns(path, dirs)
 
 
 def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool,
@@ -189,15 +183,9 @@ def trivialization_winding(orbit: ReebOrbit, frame_a: np.ndarray,
     at the same nodes.  Raises RoundingUnsafe if the angle sum is farther
     than 0.1 turns from an integer.
     """
-    va = frame_a[:, :, 0]
-    b1 = frame_b[:, :, 0]
-    b2 = frame_b[:, :, 1]
-    den = model.dlambda0(b1, b2)
-    alpha = model.dlambda0(va, b2) / den
-    beta = model.dlambda0(b1, va) / den
-    ang = np.arctan2(beta, alpha)
-    steps = (np.diff(ang) + np.pi) % (2.0 * np.pi) - np.pi
-    total = (np.sum(steps)) / (2.0 * np.pi)
+    ab = model.frame_coords(frame_b[:, :, 0], frame_b[:, :, 1],
+                            frame_a[:, :, 0])
+    total, _ = model.winding_turns(ab)
     wind = int(np.round(total))
     if abs(total - wind) >= 0.1:
         raise RoundingUnsafe(f"frame winding {total:g} not close to integer")
@@ -209,7 +197,7 @@ def special_orbit_frames(p, orbit: ReebOrbit, n: int = 256):
     the closing node; shapes (n+1, 4, 2)."""
     ts = np.arange(n + 1) / n * orbit.reeb_period
     pts = orbit.point(ts)
-    rho = np.stack([model.rho_frame_basis(p, z) for z in pts])
+    rho = model.rho_frame_basis(p, pts)
     xb1, xb2 = model.frame_sections(p, pts)
     glob = np.stack([xb1, xb2], axis=-1)
     return rho, glob

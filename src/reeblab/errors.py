@@ -90,4 +90,5 @@ class VanishingSection(ReebLabError):
 
 
 class UnreliableWinding(ReebLabError):
-    """A winding cannot be tracked because the section is below the floor."""
+    """A winding cannot be tracked: the section falls below the floor or
+    turns by pi/2 or more between samples."""

@@ -321,11 +321,13 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
         if np.max(np.linalg.norm(sec, axis=-1)) < wind_floor:
             raise UnreliableWinding(
                 f"projected u_s below floor at the {label} end")
-        ab = fr.coords(sec)
-        ang = np.arctan2(ab[:, 1], ab[:, 0])
-        ang = np.append(ang, ang[0])
-        steps = (np.diff(ang) + np.pi) % (2.0 * np.pi) - np.pi
-        return int(np.round(np.sum(steps) / (2.0 * np.pi)))
+        # a closed loop's turn count is an integer however coarse the
+        # sampling, so the largest angle step is the only guard
+        turns, step = model.winding_turns(fr.coords(sec), closed=True)
+        if step >= 0.5 * np.pi:
+            raise UnreliableWinding(
+                f"angle step {step:.3g} >= pi/2 at the {label} end")
+        return int(np.round(turns))
 
     # probe two nodes inside the end so one-sided differences stay clean
     wind_pos = wind_at(len(prof.s) - 2, prof.asymptote_pos)

@@ -220,7 +220,7 @@ def vector_fields(p: HamiltonianParams, z):
 # contact frame
 
 
-def frame_sections(p: HamiltonianParams, z, frame_tol: float = FRAME_TOL):
+def frame_sections(p: HamiltonianParams, z):
     """Global contact-plane frame (Xbar1, Xbar2) at state(s) z.
 
     Xbar_i is the unique vector of ker(lambda0) intersected with TS that
@@ -230,42 +230,60 @@ def frame_sections(p: HamiltonianParams, z, frame_tol: float = FRAME_TOL):
     z = np.asarray(z, float)
     _, grad, _ = hamiltonian_eval(p, z)
     gnorm = np.linalg.norm(grad, axis=-1)
-    if np.any(gnorm < frame_tol):
+    if np.any(gnorm < FRAME_TOL):
         raise DegenerateFrame("gradient of H vanishes")
     n = grad / gnorm[..., None]
     x1v = n @ FRAME_A1.T
     x2v = n @ FRAME_A2.T
     x3v = n @ FRAME_A3.T
     lam3 = lambda0(z, x3v)
-    if np.any(np.abs(lam3) < frame_tol):
+    if np.any(np.abs(lam3) < FRAME_TOL):
         raise DegenerateFrame("lambda0(X_3) below frame tolerance")
     xbar1 = x1v - (lambda0(z, x1v) / lam3)[..., None] * x3v
     xbar2 = x2v - (lambda0(z, x2v) / lam3)[..., None] * x3v
     return xbar1, xbar2
 
 
-def frame_coords(z, xbar1, xbar2, v):
+def frame_coords(xbar1, xbar2, v):
     """Coordinates of contact vectors v in the (Xbar1, Xbar2) frame.
 
-    Uses the symplectic pairing; exact for v in the span of the frame since
-    dlambda0(Xbar1, Xbar2) = 1 identically.
+    Uses the symplectic pairing, so it is exact for v in the span of the
+    frame; broadcasts over leading axes.  Raises DegenerateFrame where
+    dlambda0(Xbar1, Xbar2) falls below the frame tolerance.
     """
     den = dlambda0(xbar1, xbar2)
+    if np.any(np.abs(den) < FRAME_TOL):
+        raise DegenerateFrame("frame loses rank (|dlambda0(Xbar1, Xbar2)| = "
+                              f"{np.min(np.abs(den)):g})")
     a = dlambda0(v, xbar2) / den
     b = dlambda0(xbar1, v) / den
     return np.stack([a, b], axis=-1)
 
 
+def winding_turns(vecs, closed: bool = False):
+    """Turns made by plane vectors sampled along axis 0.
+
+    `vecs` has shape (n, 2, ...).  Each angle step is wrapped into
+    [-pi, pi); with `closed` the step from the last sample back to the
+    first counts too.  Returns (turns, largest |step|), both shaped like
+    vecs[0, 0].  The sum is only the winding while every step stays well
+    below pi, so each caller applies its own bound to the largest step.
+    """
+    vecs = np.asarray(vecs, float)
+    ang = np.arctan2(vecs[:, 1], vecs[:, 0])
+    if closed:
+        ang = np.concatenate([ang, ang[:1]])
+    steps = (np.diff(ang, axis=0) + np.pi) % (2.0 * np.pi) - np.pi
+    return np.sum(steps, axis=0) / (2.0 * np.pi), np.max(np.abs(steps), axis=0)
+
+
 @dataclass
 class ContactFrame:
-    """Pointwise frame data on the surface: tangent frame X1..X3, contact
-    frame (Xbar1, Xbar2), Reeb field, and the compatible complex structure
-    J (Xbar1 -> Xbar2, Xbar2 -> -Xbar1) exposed through apply_J."""
+    """Pointwise frame data on the surface: contact frame (Xbar1, Xbar2),
+    Reeb field, and the compatible complex structure J (Xbar1 -> Xbar2,
+    Xbar2 -> -Xbar1) exposed through apply_J."""
 
     base: np.ndarray
-    X1: np.ndarray
-    X2: np.ndarray
-    X3: np.ndarray
     Xbar1: np.ndarray
     Xbar2: np.ndarray
     reeb: np.ndarray
@@ -276,29 +294,19 @@ class ContactFrame:
         return v - lam[..., None] * self.reeb
 
     def coords(self, v):
-        return frame_coords(self.base, self.Xbar1, self.Xbar2, v)
+        return frame_coords(self.Xbar1, self.Xbar2, v)
 
     def apply_J(self, v):
         ab = np.asarray(self.coords(v), float)
         return ab[..., 0, None] * self.Xbar2 - ab[..., 1, None] * self.Xbar1
 
 
-def contact_frame(p: HamiltonianParams, z, frame_tol: float = 1e-8) -> ContactFrame:
-    """Build the full frame record at one or many on-surface states."""
+def contact_frame(p: HamiltonianParams, z) -> ContactFrame:
+    """Build the frame record at one or many on-surface states."""
     z = np.asarray(z, float)
-    _, grad, _ = hamiltonian_eval(p, z)
-    n = grad / np.linalg.norm(grad, axis=-1)[..., None]
-    xbar1, xbar2 = frame_sections(p, z, frame_tol=frame_tol)
+    xbar1, xbar2 = frame_sections(p, z)
     _, _, reeb = vector_fields(p, z)
-    return ContactFrame(
-        base=z,
-        X1=n @ FRAME_A1.T,
-        X2=n @ FRAME_A2.T,
-        X3=n @ FRAME_A3.T,
-        Xbar1=xbar1,
-        Xbar2=xbar2,
-        reeb=reeb,
-    )
+    return ContactFrame(base=z, Xbar1=xbar1, Xbar2=xbar2, reeb=reeb)
 
 
 # ---------------------------------------------------------------------------
@@ -344,35 +352,23 @@ class Trajectory:
 
     t: np.ndarray
     states: np.ndarray
-    time_kind: str
     energy_drift: float
-
-    def to_csv(self, p: HamiltonianParams) -> str:
-        h, _, _ = hamiltonian_eval(p, self.states)
-        lines = ["t,x1,y1,x2,y2,H"]
-        for ti, zi, hi in zip(self.t, self.states, h):
-            lines.append(
-                f"{ti:.12g},{zi[0]:.12g},{zi[1]:.12g},{zi[2]:.12g},{zi[3]:.12g},{hi:.12g}"
-            )
-        return "\n".join(lines) + "\n"
 
 
 def integrate_flow(
     p: HamiltonianParams,
     z0,
     T: float,
-    time_kind: str = "reeb",
     with_variational: bool = False,
     tol: float = 1e-10,
     t_eval=None,
     n_samples: int = 200,
     method: str = "RK45",
 ):
-    """Integrate the Hamiltonian or Reeb flow from z0 for (signed) time T.
+    """Integrate the Reeb flow h*X_H from z0 for (signed) time T.
 
     Parameters
     ----------
-    time_kind : 'reeb' integrates h*X_H, 'hamiltonian' integrates X_H.
     with_variational : also propagate the 4x4 fundamental solution of the
         linearized flow along the same adaptive step sequence.
     tol : per-step error tolerance (both relative and absolute).
@@ -388,33 +384,20 @@ def integrate_flow(
     normalization h).
     """
     z0 = np.asarray(z0, float)
-    if time_kind not in ("reeb", "hamiltonian"):
-        raise ValueError("time_kind must be 'reeb' or 'hamiltonian'")
-
-    if time_kind == "reeb":
-        def rhs_state(z):
-            _, _, r = vector_fields(p, z)
-            return r
-
-        jac = reeb_jacobian
-    else:
-        def rhs_state(z):
-            return hamiltonian_vf(p, z)
-
-        jac = _dxh
 
     if with_variational:
         def rhs(t, y):
             z = y[:4]
             m = y[4:].reshape(4, 4)
-            dz = rhs_state(z)
-            dm = jac(p, z) @ m
+            _, _, dz = vector_fields(p, z)
+            dm = reeb_jacobian(p, z) @ m
             return np.concatenate([dz, dm.ravel()])
 
         y0 = np.concatenate([z0, np.eye(4).ravel()])
     else:
         def rhs(t, y):
-            return rhs_state(y)
+            _, _, r = vector_fields(p, y)
+            return r
 
         y0 = z0
 
@@ -427,7 +410,7 @@ def integrate_flow(
     states = sol.y[:4].T
     h, _, _ = hamiltonian_eval(p, states)
     drift = float(np.max(np.abs(h - h[0])))
-    traj = Trajectory(t=sol.t, states=states, time_kind=time_kind, energy_drift=drift)
+    traj = Trajectory(t=sol.t, states=states, energy_drift=drift)
     mats = sol.y[4:].T.reshape(-1, 4, 4) if with_variational else None
     return traj, mats
 
@@ -552,19 +535,20 @@ def _expm_generator(gen: np.ndarray, times) -> np.ndarray:
 
 
 def rho_frame_basis(p: HamiltonianParams, z) -> np.ndarray:
-    """Orbit-adapted contact basis at an axis-circle point: the lifts of the
+    """Orbit-adapted contact basis at axis-circle points: the lifts of the
     planar directions (0,0,1,0) and (0,0,0,1) into the contact plane.
 
-    Returns a 4x2 matrix of columns.  Only valid where both directions are
-    tangent to the surface (the special orbits and their neighbors on the
-    axis circles)."""
+    Returns 4x2 matrices of columns, shape (..., 4, 2) for states (..., 4).
+    Only valid where both directions are tangent to the surface (the
+    special orbits and their neighbors on the axis circles)."""
     z = np.asarray(z, float)
     _, _, reeb = vector_fields(p, z)
-    e1 = np.array([0.0, 0.0, 1.0, 0.0])
-    e2 = np.array([0.0, 0.0, 0.0, 1.0])
-    e1 = e1 - lambda0(z, e1) * reeb
-    e2 = e2 - lambda0(z, e2) * reeb
-    return np.stack([e1, e2], axis=-1)
+    planar = np.zeros(z.shape[:-1] + (2, 4))  # rows e3, e4
+    planar[..., 0, 2] = 1.0
+    planar[..., 1, 3] = 1.0
+    lam = lambda0(z[..., None, :], planar)
+    lifted = planar - lam[..., None] * reeb[..., None, :]
+    return np.swapaxes(lifted, -1, -2)
 
 
 def restrict_linearized_to_xi(
@@ -588,8 +572,8 @@ def restrict_linearized_to_xi(
     z0 = np.asarray(orbit.initial_state, float)
     T = float(orbit.reeb_period)
     t_eval = np.linspace(0.0, T, n_samples)
-    traj, mats = integrate_flow(p, z0, T, time_kind="reeb",
-                                with_variational=True, tol=tol, t_eval=t_eval)
+    traj, mats = integrate_flow(p, z0, T, with_variational=True, tol=tol,
+                                t_eval=t_eval)
     gap = np.linalg.norm(traj.states[-1] - z0)
     if gap > ORBIT_CLOSE_TOL:
         raise ValueError(f"orbit does not close up (gap {gap:g})")
@@ -605,13 +589,9 @@ def restrict_linearized_to_xi(
         _, _, reeb = vector_fields(p, traj.states)
         lam = lambda0(traj.states[:, None, :], np.moveaxis(v, -1, 1))
         v = v - reeb[:, :, None] * lam[:, None, :]
-        den = dlambda0(xbar1, xbar2)
-        if np.any(np.abs(den) < FRAME_TOL):
-            raise DegenerateFrame("global frame loses rank along the orbit")
         cols = np.moveaxis(v, -1, 1)  # (n, 2, 4)
-        a = dlambda0(cols, xbar2[:, None, :]) / den[:, None]
-        b = dlambda0(xbar1[:, None, :], cols) / den[:, None]
-        phi = np.stack([a, b], axis=1)  # (n, 2, 2): rows coords, cols inputs
+        coords = frame_coords(xbar1[:, None, :], xbar2[:, None, :], cols)
+        phi = np.swapaxes(coords, 1, 2)  # (n, 2, 2): rows coords, cols inputs
     else:
         raise ValueError("frame_kind must be 'rho_orbit_frame' or 'global_frame'")
 

@@ -412,11 +412,10 @@ def planar_period_and_area(
         lo = hi
     if lo < n_loop:
         loop[lo:] = pieces[-1].sol(ts[lo:]).T
-    tangent = (np.roll(loop, -1, axis=0) - np.roll(loop, 1, axis=0)) \
-        * (0.5 * n_loop / tau)
-    area = float(np.mean(
-        0.5 * (loop[:, 0] * tangent[:, 1] - loop[:, 1] * tangent[:, 0])
-    ) * tau)
+    # area = 1/2 of the loop integral of x dy - y dx with the exact velocity
+    # (-P, Q); the trapezoid rule on the periodic samples is spectral
+    q, pp = model.h2_grad(p, loop[:, 0], loop[:, 1])
+    area = float(np.mean(0.5 * (loop[:, 0] * q + loop[:, 1] * pp)) * tau)
     return tau, area, loop
 
 
@@ -702,13 +701,13 @@ def separatrix_and_homoclinics(
     x_apex = float(gamma1.axis_crossings[0])
     r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, x_apex, 0.0)))
     z0 = np.array([r, 0.0, x_apex, 0.0])
-    fwd, _ = model.integrate_flow(p, z0, horizon, time_kind="reeb",
-                                  tol=1e-13, n_samples=800, method="DOP853")
-    bwd, _ = model.integrate_flow(p, z0, -horizon, time_kind="reeb",
-                                  tol=1e-13, n_samples=800, method="DOP853")
+    fwd, _ = model.integrate_flow(p, z0, horizon, tol=1e-13, n_samples=800,
+                                  method="DOP853")
+    bwd, _ = model.integrate_flow(p, z0, -horizon, tol=1e-13, n_samples=800,
+                                  method="DOP853")
     states = np.vstack([bwd.states[::-1], fwd.states[1:]])
     ts = np.concatenate([bwd.t[::-1], fwd.t[1:]])
-    traj = Trajectory(t=ts, states=states, time_kind="reeb",
+    traj = Trajectory(t=ts, states=states,
                       energy_drift=max(fwd.energy_drift, bwd.energy_drift))
     orbit_p2 = ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
                          reeb_period=float(np.pi))

@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import AsymmetryTooLarge, BandTooNarrow
 from .jacobi import jacobi_eigh
-from .model import J0, SymplecticPath
+from .model import J0, SymplecticPath, winding_turns
 
 
 @dataclass
@@ -205,13 +205,9 @@ def _winding_of_nodes(vecs: np.ndarray, floor: float):
     below pi/2.
     """
     norms = np.linalg.norm(vecs, axis=1)
-    ang = np.arctan2(vecs[:, 1, :], vecs[:, 0, :])
-    ang = np.vstack([ang, ang[:1]])
-    steps = np.diff(ang, axis=0)
-    steps = (steps + np.pi) % (2.0 * np.pi) - np.pi
-    total = np.sum(steps, axis=0) / (2.0 * np.pi)
+    total, step = winding_turns(vecs, closed=True)
     ok = (np.min(norms, axis=0) > floor * np.max(norms, axis=0)) \
-        & (np.max(np.abs(steps), axis=0) < 0.5 * np.pi) \
+        & (step < 0.5 * np.pi) \
         & (np.abs(total - np.round(total)) < 0.25)
     return np.round(total).astype(int), ok
 

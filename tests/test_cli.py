@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import reeblab
@@ -65,8 +66,8 @@ def test_link_command(tmp_path):
 
 
 def test_leaf_command(tmp_path):
-    assert main(["--out", str(tmp_path), "leaf", "--which", "cyl_P3_P1",
-                 "--emit", "csv"]) == 0
+    assert main(["--out", str(tmp_path), "--format", "csv", "leaf",
+                 "--which", "cyl_P3_P1"]) == 0
     payload = json.loads((tmp_path / "leaf_cyl_P3_P1.json").read_text())
     assert payload["asymptotes"] == {"neg": "P1", "pos": "P3"}
     assert (tmp_path / "leaf_cyl_P3_P1.csv").read_text().startswith("s,g,f,a")
@@ -152,7 +153,13 @@ def test_plot_levels_figure_preset(tmp_path):
 def test_homoclinic_csv_exports(tmp_path):
     assert main(["--out", str(tmp_path), "--format", "csv",
                  "homoclinic"]) == 0
-    assert (tmp_path / "homoclinic.csv").read_text().startswith("t,x1")
+    lines = (tmp_path / "homoclinic.csv").read_text().splitlines()
+    assert lines[0] == "t,x1,y1,x2,y2,H"
+    # both 800-sample legs, sharing the apex
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert rows.shape == (1599, 6)
+    assert np.all(np.diff(rows[:, 0]) > 0)
+    assert np.max(np.abs(rows[:, 5] - 0.5)) < 1e-9
     assert (tmp_path / "separatrix_gamma1.csv").read_text().startswith("x2,y2")
     assert (tmp_path / "separatrix_gamma2.csv").exists()
 

@@ -170,6 +170,20 @@ def test_strong_section_rejects_removable_end(params):
         leaves.strong_section_check(params, grid, "neg")
 
 
+def ribbon_grid(params, orbit, taus, v):
+    """A thin ribbon along `orbit` whose radial section has orbit-adapted
+    coordinates v (n_t, 2) at the parameters taus; both ends are `orbit`."""
+    pts = orbit.point(taus * orbit.reeb_period)
+    vec4 = np.einsum("nij,nj->ni", model.rho_frame_basis(params, pts), v)
+    s = np.array([-1e-3, 0.0, 1e-3])
+    u = pts[None, :, :] + s[:, None, None] * vec4[None, :, :]
+    prof = LeafProfile(interval_id="ribbon", s=s, g=u[:, 0, 2],
+                       f=np.hypot(u[:, 0, 0], u[:, 0, 1]),
+                       a=np.zeros(3), asymptote_neg=orbit.label,
+                       asymptote_pos=orbit.label, endpoints=(0.0, 0.0))
+    return LeafGrid(profile=prof, t=taus, u=u, a=np.zeros(3))
+
+
 def test_flow_invariant_surface_fails_strong_check(params, trio):
     """A surface whose radial section is carried by the linearized flow has
     vanishing pairing: the strong-section verdict must be 'fails'."""
@@ -184,19 +198,22 @@ def test_flow_invariant_surface_fails_strong_check(params, trio):
     mats = path.value(taus)
     v = np.einsum("nij,j->ni", mats, vm)
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
-    # embed the section into space along the orbit and build a ribbon
-    pts = p2.point(taus * p2.reeb_period)
-    basis = np.stack([model.rho_frame_basis(params, z) for z in pts])
-    vec4 = np.einsum("nij,nj->ni", basis, v)
-    s = np.array([-1e-3, 0.0, 1e-3])
-    u = pts[None, :, :] + s[:, None, None] * vec4[None, :, :]
-    prof = LeafProfile(interval_id="ribbon", s=s, g=u[:, 0, 2],
-                       f=np.hypot(u[:, 0, 0], u[:, 0, 1]),
-                       a=np.zeros(3), asymptote_neg="P2",
-                       asymptote_pos="P2", endpoints=(0.0, 0.0))
-    grid = LeafGrid(profile=prof, t=taus, u=u, a=np.zeros(3))
+    grid = ribbon_grid(params, p2, taus, v)
     res = leaves.strong_section_check(params, grid, "pos")
     assert res["verdict"] == "fails"
+
+
+def test_fast_turning_end_section_is_unreliable(params, trio):
+    """Two turns over 8 samples in the orbit-adapted frame, three in the
+    global one: each angle step is 3 pi / 4, so the rounded sum is not a
+    winding the samples can vouch for."""
+    n_t = 8
+    taus = np.arange(n_t) / n_t
+    ang = 4.0 * np.pi * taus
+    v = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    grid = ribbon_grid(params, trio[1], taus, v)
+    with pytest.raises(UnreliableWinding, match="angle step 2.36"):
+        leaves.leaf_diagnostics(params, grid)
 
 
 def test_atlas_roles_and_index_arithmetic(atlas):

@@ -118,6 +118,30 @@ def test_frame_kills_reeb_direction(params, trio):
         assert np.linalg.norm(fr.project(fr.reeb)) < 1e-12
 
 
+def test_rho_frame_basis_broadcasts_over_nodes(params, trio):
+    for orbit in trio:
+        pts = orbit.point(np.arange(257) / 256 * orbit.reeb_period)
+        stacked = np.stack([model.rho_frame_basis(params, z) for z in pts])
+        assert np.array_equal(model.rho_frame_basis(params, pts), stacked)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+def test_winding_turns_of_rigid_rotation(closed):
+    n = 64
+    ks = np.array([-2.0, 1.0, 3.0])
+    # closed: n samples, the closing step back to the first counts;
+    # open: n + 1 samples with the last on top of the first
+    t = np.arange(n if closed else n + 1) / n
+    ang = 2.0 * np.pi * t[:, None] * ks[None, :]
+    vecs = np.stack([np.cos(ang), np.sin(ang)], axis=1)  # (n, 2, 3)
+    turns, step = model.winding_turns(vecs, closed=closed)
+    assert turns == pytest.approx(ks, abs=1e-12)
+    assert step == pytest.approx(2.0 * np.pi * np.abs(ks) / n, abs=1e-12)
+    one, one_step = model.winding_turns(vecs[:, :, 2], closed=closed)
+    assert one == pytest.approx(3.0, abs=1e-12)
+    assert one_step == pytest.approx(6.0 * np.pi / n, abs=1e-12)
+
+
 def radial_surface_point(params, direction):
     """Independent on-surface sampler: bisection along the ray (the surface
     is star-shaped, so each ray crosses it once)."""
@@ -266,11 +290,3 @@ def test_numeric_path_matches_analytic_nodes(params, numeric_paths,
         num = numeric_paths[label]
         exact = analytic_paths[label].value(num.tau)
         assert np.max(np.abs(num.mats - exact)) < 1e-6
-
-
-def test_trajectory_csv_header(params, trio):
-    traj, _ = model.integrate_flow(params, trio[1].initial_state, 0.3,
-                                   n_samples=5)
-    csv = traj.to_csv(params)
-    assert csv.splitlines()[0] == "t,x1,y1,x2,y2,H"
-    assert len(csv.splitlines()) == 6

@@ -119,6 +119,22 @@ def test_planar_period_near_elliptic_point(params):
     assert abs(area) < 1e-3
 
 
+@pytest.mark.parametrize("level", [-0.0346, -0.02, -0.05])
+def test_area_derivative_is_the_period(params, level):
+    """dA/dC = tau: the period is the derivative of the enclosed area in
+    the energy (loops around the outer well, central difference)."""
+    def outer_loop(c):
+        seeds = orbits.axis_level_seeds(params, c)
+        return orbits.planar_period_and_area(
+            params, c, seeds[np.argmax(seeds[:, 0])])
+
+    delta = 1e-6
+    tau, _, _ = outer_loop(level)
+    _, a_hi, _ = outer_loop(level + delta)
+    _, a_lo, _ = outer_loop(level - delta)
+    assert (a_hi - a_lo) / (2.0 * delta) == pytest.approx(tau, rel=1e-7)
+
+
 def test_planar_period_exceeds_base_period(params):
     """Every planar loop in the scan window is slower than the base circle;
     this is what forces multiplicity m1 >= 2 for resonant products."""
