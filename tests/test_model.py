@@ -290,3 +290,18 @@ def test_numeric_path_matches_analytic_nodes(params, numeric_paths,
         num = numeric_paths[label]
         exact = analytic_paths[label].value(num.tau)
         assert np.max(np.abs(num.mats - exact)) < 1e-6
+
+
+def test_trajectory_csv_header(params, trio):
+    from reeblab.cli import _csv
+
+    traj, _ = model.integrate_flow(params, trio[1].initial_state, 0.3,
+                                   n_samples=5)
+    h, _, _ = model.hamiltonian_eval(params, traj.states)
+    csv = _csv("t,x1,y1,x2,y2,H", np.column_stack([traj.t, traj.states, h]))
+    lines = csv.splitlines()
+    assert lines[0] == "t,x1,y1,x2,y2,H"
+    assert len(lines) == 6
+    rows = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    assert np.allclose(rows[:, 0], traj.t, rtol=1e-11, atol=0)
+    assert np.allclose(rows[:, 1:5], traj.states, rtol=1e-11, atol=1e-300)
