@@ -306,32 +306,30 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
     hofer = float(np.pi * prof.f[-1] ** 2)
     mass_neg = float(np.pi * prof.f[0] ** 2)
 
-    def wind_at(idx, label):
+    # the end windings read the first and last interior rows, where the
+    # centred u_s and its frame are already in hand
+    pi_us_rows = pi_us.reshape(shp + (4,))
+    xbar1 = frame.Xbar1.reshape(shp + (4,))
+    xbar2 = frame.Xbar2.reshape(shp + (4,))
+
+    def wind_at(row, label):
         if label == "removable":
             return None
-        row_pts = grid.u[idx]
-        if idx == 0:
-            dus = (grid.u[1] - grid.u[0]) / ds
-        elif idx == len(prof.s) - 1:
-            dus = (grid.u[-1] - grid.u[-2]) / ds
-        else:
-            dus = (grid.u[idx + 1] - grid.u[idx - 1]) / (2.0 * ds)
-        fr = model.contact_frame(p, row_pts)
-        sec = fr.project(dus)
+        sec = pi_us_rows[row]
         if np.max(np.linalg.norm(sec, axis=-1)) < wind_floor:
             raise UnreliableWinding(
                 f"projected u_s below floor at the {label} end")
         # a closed loop's turn count is an integer however coarse the
         # sampling, so the largest angle step is the only guard
-        turns, step = model.winding_turns(fr.coords(sec), closed=True)
+        turns, step = model.winding_turns(
+            model.frame_coords(xbar1[row], xbar2[row], sec), closed=True)
         if step >= 0.5 * np.pi:
             raise UnreliableWinding(
                 f"angle step {step:.3g} >= pi/2 at the {label} end")
         return int(np.round(turns))
 
-    # probe two nodes inside the end so one-sided differences stay clean
-    wind_pos = wind_at(len(prof.s) - 2, prof.asymptote_pos)
-    wind_neg = wind_at(1, prof.asymptote_neg)
+    wind_pos = wind_at(-1, prof.asymptote_pos)
+    wind_neg = wind_at(0, prof.asymptote_neg)
 
     checks = strong_section_check(p, grid, "pos") if prof.asymptote_pos != "removable" else None
     sign = checks["verdict_sign"] if checks else "n/a"

@@ -125,14 +125,20 @@ def h2_grad(p: HamiltonianParams, x, y):
     return q, pp
 
 
-def h2_hess(p: HamiltonianParams, x, y):
-    """Hessian of H2, shape (..., 2, 2), exact polynomial derivatives."""
+def _h2_hess_entries(p: HamiltonianParams, x, y):
+    """Second partials (H2_xx, H2_xy, H2_yy); floats or arrays alike."""
     e = p.epsilon
-    x = np.asarray(x, float)
-    y = np.asarray(y, float)
     hxx = 6.0 * x * x + 2.0 * y * y + 6.0 * e * p.a * x + 2.0 * e * e * p.c
     hxy = 4.0 * x * y + 2.0 * e * p.b * y
     hyy = 2.0 * x * x + 6.0 * y * y + 2.0 * e * p.b * x + 2.0 * e * e * p.d
+    return hxx, hxy, hyy
+
+
+def h2_hess(p: HamiltonianParams, x, y):
+    """Hessian of H2, shape (..., 2, 2), exact polynomial derivatives."""
+    x = np.asarray(x, float)
+    y = np.asarray(y, float)
+    hxx, hxy, hyy = _h2_hess_entries(p, x, y)
     out = np.empty(x.shape + (2, 2))
     out[..., 0, 0] = hxx
     out[..., 0, 1] = hxy
@@ -313,37 +319,50 @@ def contact_frame(p: HamiltonianParams, z) -> ContactFrame:
 # flows
 
 
-def _dxh(p: HamiltonianParams, z):
-    """Jacobian of the Hamiltonian vector field (4x4)."""
-    hess2 = h2_hess(p, z[2], z[3])
-    out = np.zeros((4, 4))
-    out[0, 1] = -1.0
-    out[1, 0] = 1.0
-    out[2, 2] = -hess2[0, 1]
-    out[2, 3] = -hess2[1, 1]
-    out[3, 2] = hess2[0, 0]
-    out[3, 3] = hess2[0, 1]
-    return out
+def reeb_rhs(p: HamiltonianParams, with_variational: bool = False):
+    """Right-hand side f(t, y) of the Reeb flow R = h X_H for solve_ivp.
 
+    Plain-float arithmetic, since this closure is the hot path of every 4-D
+    integration; it agrees bit for bit with `vector_fields` and raises
+    NotStarShaped where lambda0(X_H) <= 0.  With `with_variational`, y also
+    carries the 4x4 fundamental matrix m, which moves by DR @ m with
+    DR = h DX_H + X_H (x) dh.
+    """
 
-def reeb_jacobian(p: HamiltonianParams, z):
-    """Jacobian of the Reeb field R = h X_H at a single state."""
-    z = np.asarray(z, float)
-    xh = hamiltonian_vf(p, z)
-    s = star_quantity(p, z)
-    h = 2.0 / s
-    q, pp = h2_grad(p, z[2], z[3])
-    hess2 = h2_hess(p, z[2], z[3])
-    ds = np.array(
-        [
-            2.0 * z[0],
-            2.0 * z[1],
-            q + z[2] * hess2[0, 0] + z[3] * hess2[0, 1],
-            z[2] * hess2[0, 1] + pp + z[3] * hess2[1, 1],
-        ]
-    )
-    dh = -(h * h / 2.0) * ds
-    return h * _dxh(p, z) + np.outer(xh, dh)
+    def field(x1, y1, x2, y2):
+        q, pp = h2_grad(p, x2, y2)
+        s = x1 * x1 + y1 * y1 + x2 * q + y2 * pp
+        if s <= 0.0:
+            raise NotStarShaped(f"lambda0(X_H) <= 0 (min value {s / 2.0:g})")
+        return q, pp, 2.0 / s
+
+    def rhs(t, y):
+        x1, y1, x2, y2 = y.tolist()
+        q, pp, h = field(x1, y1, x2, y2)
+        return (-y1 * h, x1 * h, -pp * h, q * h)
+
+    def rhs_variational(t, y):
+        x1, y1, x2, y2 = y[:4].tolist()
+        q, pp, h = field(x1, y1, x2, y2)
+        hxx, hxy, hyy = _h2_hess_entries(p, x2, y2)
+        # dh = -(h^2 / 2) ds with s = 2 lambda0(X_H)
+        c = -(h * h / 2.0)
+        dh0 = c * (2.0 * x1)
+        dh1 = c * (2.0 * y1)
+        dh2 = c * (q + x2 * hxx + y2 * hxy)
+        dh3 = c * (x2 * hxy + pp + y2 * hyy)
+        jac = np.array([
+            [-y1 * dh0, -y1 * dh1 - h, -y1 * dh2, -y1 * dh3],
+            [x1 * dh0 + h, x1 * dh1, x1 * dh2, x1 * dh3],
+            [-pp * dh0, -pp * dh1, -pp * dh2 - h * hxy, -pp * dh3 - h * hyy],
+            [q * dh0, q * dh1, q * dh2 + h * hxx, q * dh3 + h * hxy],
+        ])
+        out = np.empty(20)
+        out[:4] = (-y1 * h, x1 * h, -pp * h, q * h)
+        out[4:] = (jac @ y[4:].reshape(4, 4)).ravel()
+        return out
+
+    return rhs_variational if with_variational else rhs
 
 
 @dataclass
@@ -384,27 +403,12 @@ def integrate_flow(
     normalization h).
     """
     z0 = np.asarray(z0, float)
-
-    if with_variational:
-        def rhs(t, y):
-            z = y[:4]
-            m = y[4:].reshape(4, 4)
-            _, _, dz = vector_fields(p, z)
-            dm = reeb_jacobian(p, z) @ m
-            return np.concatenate([dz, dm.ravel()])
-
-        y0 = np.concatenate([z0, np.eye(4).ravel()])
-    else:
-        def rhs(t, y):
-            _, _, r = vector_fields(p, y)
-            return r
-
-        y0 = z0
-
+    y0 = np.concatenate([z0, np.eye(4).ravel()]) if with_variational else z0
     if t_eval is None:
         t_eval = np.linspace(0.0, T, n_samples)
-    sol = solve_ivp(rhs, (0.0, T), y0, method=method, rtol=tol, atol=tol,
-                    t_eval=t_eval, dense_output=False)
+    sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0,
+                    method=method, rtol=tol, atol=tol, t_eval=t_eval,
+                    dense_output=False)
     if sol.status == -1:
         raise StepUnderflow(sol.message)
     states = sol.y[:4].T

@@ -311,17 +311,10 @@ def orbit_action(curve: np.ndarray, orbit_tol: float = 1e-7) -> float:
 
 
 def planar_rhs(p: HamiltonianParams):
-    # plain-float arithmetic: this closure is the hot path of every planar
-    # integration (periods, separatrices, level tracing)
-    e, a, b, c, d = p.epsilon, p.a, p.b, p.c, p.d
-
+    # plain floats into model.h2_grad: this closure is the hot path of every
+    # planar integration (periods, separatrices, level tracing)
     def rhs(t, z):
-        x = float(z[0])
-        y = float(z[1])
-        r2 = x * x + y * y
-        q = 2.0 * x * r2 + 3.0 * e * a * x * x + e * b * y * y \
-            + 2.0 * e * e * c * x
-        pp = 2.0 * y * r2 + 2.0 * e * b * x * y + 2.0 * e * e * d * y
+        q, pp = model.h2_grad(p, float(z[0]), float(z[1]))
         return (-pp, q)
 
     return rhs

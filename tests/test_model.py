@@ -87,6 +87,58 @@ def test_not_star_shaped_guard(params):
         model.vector_fields(params, z)
 
 
+def _states_near_surface(p, n, seed):
+    """States with |H - 1/2| <= 1e-3: a random planar point in the disc of
+    radius 0.9 and the (x1, y1) circle that makes up the energy."""
+    rng = np.random.default_rng(seed)
+    x2, y2 = rng.uniform(-0.9, 0.9, (2, 2 * n))
+    h1 = 0.5 - model.h2_eval(p, x2, y2) + rng.uniform(-1e-3, 1e-3, 2 * n)
+    keep = (x2 * x2 + y2 * y2 <= 0.81) & (h1 > 0.0)
+    r1 = np.sqrt(2.0 * h1[keep][:n])
+    phi = rng.uniform(0.0, 2.0 * np.pi, len(r1))
+    out = np.stack([r1 * np.cos(phi), r1 * np.sin(phi),
+                    x2[keep][:n], y2[keep][:n]], axis=-1)
+    assert len(out) == n
+    return out
+
+
+def test_reeb_rhs_bitwise_equals_vector_fields(params):
+    rhs = model.reeb_rhs(params)
+    rhs_var = model.reeb_rhs(params, with_variational=True)
+    m = np.random.default_rng(11).standard_normal(16)
+    for z in _states_near_surface(params, 10000, seed=10):
+        _, _, r = model.vector_fields(params, z)
+        assert np.array_equal(np.asarray(rhs(0.0, z)), r)
+        assert np.array_equal(rhs_var(0.0, np.concatenate([z, m]))[:4], r)
+
+
+def test_reeb_variational_block_matches_finite_differences(params, trio):
+    # the 4x4 block at M = I is the Jacobian of the Reeb field
+    rhs_var = model.reeb_rhs(params, with_variational=True)
+    states = np.concatenate([_states_near_surface(params, 40, seed=12),
+                             [o.initial_state for o in trio]])
+    step = 1e-5
+    for z in states:
+        jac = rhs_var(0.0, np.concatenate([z, np.eye(4).ravel()]))[4:]
+        jac = jac.reshape(4, 4)
+        fd = np.empty((4, 4))
+        for k in range(4):
+            dz = np.zeros(4)
+            dz[k] = step
+            _, _, rp = model.vector_fields(params, z + dz)
+            _, _, rm = model.vector_fields(params, z - dz)
+            fd[:, k] = (rp - rm) / (2.0 * step)
+        assert np.linalg.norm(jac - fd) <= 1e-6 * np.linalg.norm(jac)
+
+
+@pytest.mark.parametrize("with_variational", [False, True])
+def test_integrate_flow_not_star_shaped_guard(params, with_variational):
+    # the off-surface probe of test_not_star_shaped_guard
+    z = np.array([0.0, 0.0, 0.7, 0.0])
+    with pytest.raises(NotStarShaped):
+        model.integrate_flow(params, z, 1.0, with_variational=with_variational)
+
+
 def test_contact_eval_values():
     lam, _ = model.contact_eval([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0])
     assert lam == pytest.approx(0.5, abs=0)

@@ -312,3 +312,11 @@ def test_resonant_level_loop_links_outer_orbit(params, trio):
     raw, lk = knots.gauss_linking(knots.ClosedCurve(loop4),
                                   knots.orbit_curve(trio[2], 1024))
     assert lk != 0
+
+
+def test_planar_rhs_is_h2_grad(params):
+    rhs = orbits.planar_rhs(params)
+    rng = np.random.default_rng(5)
+    for z in rng.uniform(-1.2, 1.2, (500, 2)):
+        q, pp = model.h2_grad(params, z[0], z[1])
+        assert rhs(0.0, z) == (-pp, q)
