@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -441,6 +442,23 @@ def _orbit_pair(text: str) -> tuple:
     return labels
 
 
+def _checked(convert, ok, want: str):
+    """An argparse type: `convert` the text, and accept the value if `ok`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+        return value
+
+    return parse
+
+
+_iterate = _checked(int, lambda k: k >= 1, "an integer >= 1")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="reeblab",
@@ -465,13 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     czp.add_argument("--method",
                      choices=["numeric", "analytic", "spectral", "all"],
                      default="all")
-    czp.add_argument("--iterate", type=int, default=1)
+    czp.add_argument("--iterate", type=_iterate, default=1)
     czp.set_defaults(func=_cmd_cz)
 
     spp = sub.add_parser("spectrum")
     spp.add_argument("--orbit", choices=["P1", "P2", "P3"], required=True)
-    spp.add_argument("--nodes", type=int, default=256)
-    spp.add_argument("--iterate", type=int, default=1)
+    spp.add_argument("--nodes", default=256, type=_checked(
+        int, lambda n: n >= 128 and n % 2 == 0, "an even integer >= 128"))
+    spp.add_argument("--iterate", type=_iterate, default=1)
     spp.set_defaults(func=_cmd_spectrum)
 
     lkp = sub.add_parser("link")
@@ -488,7 +507,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("atlas").set_defaults(func=_cmd_atlas)
 
     scp = sub.add_parser("scan")
-    scp.add_argument("--bound", type=float, default=None)
+    scp.add_argument("--bound", default=None, type=_checked(
+        float, math.isfinite, "a finite number"))
     scp.set_defaults(func=_cmd_scan)
 
     sub.add_parser("homoclinic").set_defaults(func=_cmd_homoclinic)

@@ -29,7 +29,11 @@ from .errors import (
 )
 from . import model
 from .model import SymplecticPath, _expm_generator
-from .orbits import ReebOrbit, special_orbits
+from .orbits import ReebOrbit
+
+# Smallest |d(lambda)(eta, L_R eta)| / |eta|^2 that counts as a strict sign
+# of the Lie pairing, for the quadrant classifier and the leaf-end check.
+PAIRING_TOL = 1e-6
 
 
 @dataclass
@@ -98,15 +102,14 @@ def _winding_of_direction_angle(path: SymplecticPath, phis) -> np.ndarray:
     return _direction_turns(path, dirs)
 
 
-def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool,
-                   iters: int = 60):
+def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool):
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = f(c) * (1 if minimize else -1)
     fd = f(d) * (1 if minimize else -1)
-    for _ in range(iters):
+    for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -121,19 +124,17 @@ def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool,
     return x, f(x)
 
 
-def winding_interval(path: SymplecticPath, n_directions: int = 256,
-                     degen_tol: float = 1e-6) -> WindingInterval:
-    """Winding interval over a half circle of directions, endpoints sharpened
-    by golden-section refinement around the sampled extremes.
+def winding_interval(path: SymplecticPath) -> WindingInterval:
+    """Winding interval over 256 directions of a half circle, endpoints
+    sharpened by golden-section refinement around the sampled extremes.
 
-    Raises DegenerateOrbit when an endpoint sits within degen_tol of an
-    integer (the path's end map has 1 in its spectrum).
+    Raises DegenerateOrbit when an endpoint sits within 1e-6 of an integer
+    (the path's end map has 1 in its spectrum).
     """
-    if n_directions < 128:
-        raise ValueError("n_directions must be at least 128")
-    phis = np.arange(n_directions) / n_directions * np.pi
+    n = 256
+    phis = np.arange(n) / n * np.pi
     deltas = _winding_of_direction_angle(path, phis)
-    h = np.pi / n_directions
+    h = np.pi / n
 
     def delta_of(phi):
         return float(_winding_of_direction_angle(path, phi)[0])
@@ -146,7 +147,7 @@ def winding_interval(path: SymplecticPath, n_directions: int = 256,
     hi = max(hi, float(np.max(deltas)))
     margin = float(min(np.abs(lo - np.round(lo)), np.abs(hi - np.round(hi))))
     contains = bool(np.floor(hi) >= np.ceil(lo))
-    if margin < degen_tol:
+    if margin < 1e-6:
         raise DegenerateOrbit(
             f"winding interval endpoint within {margin:g} of an integer")
     return WindingInterval(lo=lo, hi=hi, contains_integer=contains,
@@ -154,11 +155,9 @@ def winding_interval(path: SymplecticPath, n_directions: int = 256,
 
 
 def cz_index(path: SymplecticPath, frame_correction: int,
-             method: str = "winding_interval",
-             interval: WindingInterval = None) -> CZResult:
+             method: str = "winding_interval") -> CZResult:
     """Index from the winding interval plus the trivialization correction."""
-    if interval is None:
-        interval = winding_interval(path)
+    interval = winding_interval(path)
     if interval.length >= 0.5:
         raise DegenerateOrbit(
             f"winding interval length {interval.length:g} >= 1/2")
@@ -203,10 +202,10 @@ def special_orbit_frames(p, orbit: ReebOrbit, n: int = 256):
     return rho, glob
 
 
-def frame_correction_for(p, orbit: ReebOrbit, n: int = 256) -> int:
+def frame_correction_for(p, orbit: ReebOrbit) -> int:
     """Winding of the orbit-adapted frame against the global frame; this is
     the correction added (twice) to frame-local indices."""
-    rho, glob = special_orbit_frames(p, orbit, n)
+    rho, glob = special_orbit_frames(p, orbit)
     return trivialization_winding(orbit, rho, glob)
 
 
@@ -214,20 +213,18 @@ def frame_correction_for(p, orbit: ReebOrbit, n: int = 256) -> int:
 # analytic oracle and iteration
 
 
-def analytic_monodromy_oracle(p, which: str, n_samples: int = 256,
-                              orbit: ReebOrbit = None) -> SymplecticPath:
-    """Exact transverse path over a special orbit from the constant
-    linearization [[0, k1], [k2, 0]] scaled by the period; no integration."""
-    if orbit is None:
-        trio = {o.label: o for o in special_orbits(p)}
-        orbit = trio[which]
+def analytic_monodromy_oracle(p, which: str, n_samples: int = 256, *,
+                              orbit: ReebOrbit) -> SymplecticPath:
+    """Exact transverse path over the special orbit `orbit`, labelled
+    `which`, from the constant linearization [[0, k1], [k2, 0]] scaled by
+    the period; no integration, so `p` is not read."""
     gen = np.array([[0.0, orbit.k1], [orbit.k2, 0.0]])
     tau = np.linspace(0.0, 1.0, n_samples)
     mats = _expm_generator(gen, orbit.reeb_period * tau)
     mats[0] = np.eye(2)
     return SymplecticPath(tau=tau, mats=mats, frame_kind="rho_orbit_frame",
                           period=orbit.reeb_period, orbit=orbit,
-                          constant_generator=gen, label=orbit.label)
+                          constant_generator=gen, label=which)
 
 
 def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
@@ -329,7 +326,7 @@ def _path_value_lifted(path: SymplecticPath, tau):
     return out
 
 
-def hyperbolic_eigenvectors(path: SymplecticPath, eig_tol: float = 1e-8):
+def hyperbolic_eigenvectors(path: SymplecticPath):
     """(v_minus, v_plus, beta) of the end matrix; positive basis enforced.
     Raises NotHyperbolic unless the trace exceeds 2."""
     m = path.end_matrix()
@@ -353,22 +350,21 @@ def hyperbolic_eigenvectors(path: SymplecticPath, eig_tol: float = 1e-8):
         v_plus = -v_plus
     res = np.linalg.norm(m @ v_minus - beta * v_minus) \
         + np.linalg.norm(m @ v_plus - v_plus / beta)
-    if res > eig_tol * max(beta, 1.0):
+    if res > 1e-8 * max(beta, 1.0):
         raise NotHyperbolic(f"eigenvector residual {res:g}")
     return v_minus, v_plus, float(beta)
 
 
-def classify_quadrant(vm: np.ndarray, vp: np.ndarray, w: np.ndarray,
-                      boundary_tol: float = 1e-9):
+def classify_quadrant(vm: np.ndarray, vp: np.ndarray, w: np.ndarray):
     """Quadrant of w in the positively-ordered basis (v_minus, v_plus):
-    I = (+,+), II = (-,+), III = (-,-), IV = (+,-); None on a boundary."""
+    I = (+,+), II = (-,+), III = (-,-), IV = (+,-); None within 1e-9
+    (relative) of a boundary."""
     den = vm[..., 0] * vp[..., 1] - vm[..., 1] * vp[..., 0]
     a = (w[..., 0] * vp[..., 1] - w[..., 1] * vp[..., 0]) / den
     b = (vm[..., 0] * w[..., 1] - vm[..., 1] * w[..., 0]) / den
     scale = np.hypot(a, b)
     quads = np.full(np.shape(a), None, dtype=object)
-    on_boundary = (np.abs(a) < boundary_tol * scale) \
-        | (np.abs(b) < boundary_tol * scale)
+    on_boundary = np.minimum(np.abs(a), np.abs(b)) < 1e-9 * scale
     quads[(a > 0) & (b > 0)] = "I"
     quads[(a < 0) & (b > 0)] = "II"
     quads[(a < 0) & (b < 0)] = "III"
@@ -377,28 +373,19 @@ def classify_quadrant(vm: np.ndarray, vp: np.ndarray, w: np.ndarray,
     return quads
 
 
-def eigenframe_and_quadrants(
-    p,
-    orbit: ReebOrbit,
-    section,
-    path: SymplecticPath = None,
-    n_nodes: int = 256,
-    lie_step: float = 1e-5,
-    pairing_tol: float = 1e-6,
-):
+def eigenframe_and_quadrants(p, orbit: ReebOrbit, section):
     """Classify a section of the contact plane along a hyperbolic orbit
     against the invariant-manifold quadrants.
 
-    `section` is a callable of the unit parameter returning frame
-    coordinates (..., 2), in the same frame as `path` (default: the exact
-    transverse path in the orbit-adapted frame).  Returns (EigenFrame,
-    quadrants, pairing_sign) where pairing_sign is '+', '-' or 'mixed'
-    according to the sign of the Lie pairing at all nodes.
+    `section` is a callable of the unit parameter returning coordinates
+    (..., 2) in the orbit-adapted frame, the frame of the exact transverse
+    path.  Returns (EigenFrame, quadrants, pairing_sign) at 256 nodes, where
+    pairing_sign is '+', '-' or 'mixed' according to the sign of the Lie
+    pairing at all nodes.
     """
-    if path is None:
-        path = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
+    path = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
     v_minus0, v_plus0, beta = hyperbolic_eigenvectors(path)
-    taus = np.arange(n_nodes) / n_nodes
+    taus = np.arange(256) / 256
     mats = path.value(taus)
     vm = np.einsum("nij,j->ni", mats, v_minus0)
     vp = np.einsum("nij,j->ni", mats, v_plus0)
@@ -412,11 +399,11 @@ def eigenframe_and_quadrants(
     if np.any(norms < 1e-12):
         raise VanishingSection("section vanishes at a node")
     quads = classify_quadrant(vm, vp, w)
-    pairing = lie_pairing(path, section, taus, lie_step=lie_step)
+    pairing = lie_pairing(path, section, taus)
     scaled = pairing / (norms**2)
-    if np.all(scaled > pairing_tol):
+    if np.all(scaled > PAIRING_TOL):
         sign = "+"
-    elif np.all(scaled < -pairing_tol):
+    elif np.all(scaled < -PAIRING_TOL):
         sign = "-"
     else:
         sign = "mixed"
@@ -427,21 +414,19 @@ def eigenframe_and_quadrants(
 # all-method index computation
 
 
-def cz_all_methods(p, orbit: ReebOrbit, n_samples: int = 256,
-                   spectrum_nodes: int = 128, iterate: int = 1):
-    """Index of orbit^iterate by numeric path, analytic oracle and spectral
-    formula; returns dict of CZResult plus the agreement flag."""
+def cz_all_methods(p, orbit: ReebOrbit, iterate: int = 1):
+    """Index of orbit^iterate by numeric path, analytic oracle (both on 256
+    nodes) and spectral formula (128 grid nodes); returns dict of CZResult
+    plus the agreement flag."""
     from . import spectrum as spectrum_mod
 
     fc = frame_correction_for(p, orbit)
-    numeric = model.restrict_linearized_to_xi(p, orbit, "rho_orbit_frame",
-                                              n_samples)
-    analytic = analytic_monodromy_oracle(p, orbit.label, orbit=orbit,
-                                         n_samples=n_samples)
+    numeric = model.restrict_linearized_to_xi(p, orbit, "rho_orbit_frame")
+    analytic = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
     res_num = iterate_index(numeric, iterate, fc, method="winding_interval")
     res_ana = iterate_index(analytic, iterate, fc, method="analytic_oracle")
     op = spectrum_mod.build_S(iterate_path(analytic, iterate))
-    rep = spectrum_mod.discretize_and_solve(op, spectrum_nodes)
+    rep = spectrum_mod.discretize_and_solve(op, 128)
     res_spec = spectrum_mod.generalized_cz(rep, iterate * fc)
     agree = res_num.mu_global == res_ana.mu_global == res_spec.mu_global
     return {

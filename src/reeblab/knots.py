@@ -59,9 +59,8 @@ def _unit_sphere(points: np.ndarray) -> np.ndarray:
     return points / np.linalg.norm(points, axis=-1, keepdims=True)
 
 
-def stereographic_project(curves, seed: int = 0, n_candidates: int = 64,
-                          pole_tol: float = 5e-2):
-    """Project curves to R^3 from a pole on the unit sphere chosen (from
+def stereographic_project(curves, seed: int = 0, pole_tol: float = 5e-2):
+    """Project curves to R^3 from a pole on the unit sphere chosen (from 64
     seeded random candidates) to maximize the clearance to all curves.
 
     Returns (pole, [projected point arrays]).  Raises NoSafePole if the
@@ -70,7 +69,7 @@ def stereographic_project(curves, seed: int = 0, n_candidates: int = 64,
     normalized = [_unit_sphere(c.oriented()) for c in curves]
     cloud = np.vstack(normalized)
     rng = np.random.default_rng(seed)
-    cands = rng.standard_normal((n_candidates, 4))
+    cands = rng.standard_normal((64, 4))
     cands = _unit_sphere(cands)
     dists = np.linalg.norm(cloud[None, :, :] - cands[:, None, :], axis=-1)
     clearance = np.min(dists, axis=1)
@@ -104,25 +103,25 @@ def gauss_linking_r3(c1: np.ndarray, c2: np.ndarray):
     return float(np.sum(integrand) / (4.0 * np.pi))
 
 
-def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = 0,
-                  round_guard: float = 0.1):
+def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = 0):
     """Linking number of two disjoint closed curves on the surface.
 
     Returns (raw, lk); raises RoundingUnsafe when the quadrature value is
-    farther than the guard from the nearest integer.
+    farther than 0.1 from the nearest integer.
     """
     _, (p1, p2) = stereographic_project([c1, c2], seed=seed)
     raw = gauss_linking_r3(p1, p2)
     lk = int(np.round(raw))
-    if abs(raw - lk) > round_guard:
+    if abs(raw - lk) > 0.1:
         raise RoundingUnsafe(f"gauss value {raw:g} not near an integer")
     return raw, lk
 
 
 def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
-            offset: float = 1e-2, sep_tol: float = 1e-6) -> ClosedCurve:
+            offset: float = 1e-2) -> ClosedCurve:
     """Displace a curve by offset along a nonvanishing contact section and
-    re-project onto the energy surface."""
+    re-project onto the energy surface; raises OffsetTooLarge if the result
+    comes within 1e-6 of the curve."""
     section = np.asarray(section, float)
     norms = np.linalg.norm(section, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
@@ -130,20 +129,19 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
     pushed = curve.samples + offset * section / norms
     pushed = model.surface_project(p, pushed)
     d = np.linalg.norm(pushed[:, None, :] - curve.samples[None, :, :], axis=-1)
-    if np.min(d) < sep_tol:
+    if np.min(d) < 1e-6:
         raise OffsetTooLarge(
             f"pushed curve within {np.min(d):g} of the original")
     return ClosedCurve(pushed, curve.orientation)
 
 
-def self_linking(p: HamiltonianParams, orbit: ReebOrbit, n: int = 1024,
-                 offset: float = 1e-2, seed: int = 0):
+def self_linking(p: HamiltonianParams, orbit: ReebOrbit, seed: int = 0):
     """Self-linking number: Gauss linking of the orbit with its push-off
     along the first global contact-frame section.  Returns (raw, lk) as
     gauss_linking does."""
-    curve = orbit_curve(orbit, n)
+    curve = orbit_curve(orbit)
     xbar1, _ = model.frame_sections(p, curve.samples)
-    pushed = pushoff(p, curve, xbar1, offset=offset)
+    pushed = pushoff(p, curve, xbar1)
     return gauss_linking(curve, pushed, seed=seed)
 
 

@@ -34,7 +34,7 @@ from .errors import (
     UnreliableWinding,
 )
 from . import model, orbits
-from .czindex import analytic_monodromy_oracle, lie_pairing
+from .czindex import PAIRING_TOL, analytic_monodromy_oracle, lie_pairing
 from .model import HamiltonianParams
 
 INTERVALS = ("disk_to_P2", "cyl_P2_P1", "cyl_P3_P1", "plane_to_P3")
@@ -106,7 +106,7 @@ def profile_rhs(p: HamiltonianParams, g: float) -> float:
     return -h * np.pi * f2 * q / den
 
 
-def solve_xbar(p: HamiltonianParams, root_tol: float = 1e-12):
+def solve_xbar(p: HamiltonianParams):
     """Energy-cap roots of H2(x, 0) = 1/2: the unique positive solution
     (bisection on (p3, 2] polished by Newton) and the negative one."""
     p3 = orbits.structure_of(p).axis_points[-1].location[0]
@@ -132,7 +132,7 @@ def solve_xbar(p: HamiltonianParams, root_tol: float = 1e-12):
             q, _ = model.h2_grad(p, x, 0.0)
             step = fun(x) / q
             x -= step
-            if abs(step) < root_tol:
+            if abs(step) < 1e-12:
                 break
         return x
 
@@ -174,17 +174,16 @@ def integrate_profile(
     p: HamiltonianParams,
     interval_id: str,
     s_span: float = 200.0,
-    tol: float = 1e-10,
-    asym_tol: float = 1e-6,
     n_s: int = 257,
 ) -> LeafProfile:
     """Solve the profile equation on one admissible interval.
 
     Starts from the interval midpoint and integrates both ways until g is
-    within asym_tol of an endpoint, then resamples on a uniform arc grid
-    and integrates a alongside (a' = pi f^2, a(0) = 0 at the midpoint).
+    within 1e-6 of an endpoint, then resamples on a uniform arc grid and
+    integrates a alongside (a' = pi f^2, a(0) = 0 at the midpoint).
     Raises SlowConvergence if the span is exhausted first.
     """
+    asym_tol = 1e-6
     lo, hi = _interval_bounds(p, interval_id)
     if hi - lo < 10 * 1e-12:
         raise ValueError("interval endpoints not separated")
@@ -214,7 +213,7 @@ def integrate_profile(
     sols = {}
     for sign, target in ((+1.0, fwd_target), (-1.0, bwd_target)):
         sol = solve_ivp(rhs, (0.0, sign * s_span), [g_mid, 0.0],
-                        rtol=tol, atol=tol, dense_output=True,
+                        rtol=1e-10, atol=1e-10, dense_output=True,
                         events=make_event(target))
         if not len(sol.t_events[0]):
             raise SlowConvergence(
@@ -345,8 +344,7 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
     )
 
 
-def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str,
-                         pairing_tol: float = 1e-6):
+def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str):
     """Strong-transverse-section test at an orbit end of a leaf.
 
     The boundary section is the radial derivative of the leaf near the end,
@@ -381,13 +379,13 @@ def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str,
     pairing = lie_pairing(path, section, taus)
     scale = np.sum(eta**2, axis=-1)
     scaled = pairing / scale
-    if np.all(scaled > pairing_tol):
+    if np.all(scaled > PAIRING_TOL):
         verdict, sign = "strong", "+"
-    elif np.all(scaled < -pairing_tol):
+    elif np.all(scaled < -PAIRING_TOL):
         verdict, sign = "strong", "-"
-    elif np.max(np.abs(scaled)) < pairing_tol:
+    elif np.max(np.abs(scaled)) < PAIRING_TOL:
         verdict, sign = "fails", "0"
-    elif np.min(scaled) < -pairing_tol < pairing_tol < np.max(scaled):
+    elif np.min(scaled) < -PAIRING_TOL < PAIRING_TOL < np.max(scaled):
         verdict, sign = "fails", "mixed"
     else:
         verdict, sign = "indefinite", "indefinite"
@@ -405,7 +403,7 @@ def fredholm_index(mu_pos: int, mu_negs, n_punctures: int) -> int:
     return mu_pos - sum(mu_negs) - 2 + n_punctures
 
 
-def foliation_atlas(p: HamiltonianParams, n_t: int = 128, separatrix=None):
+def foliation_atlas(p: HamiltonianParams, separatrix=None):
     """All four explicit leaves with diagnostics, role labels, index
     arithmetic and the separatrix shadow standing in for the off-axis
     rigid cylinders (which the symmetric ansatz cannot reach).
@@ -417,7 +415,7 @@ def foliation_atlas(p: HamiltonianParams, n_t: int = 128, separatrix=None):
     leaves = {}
     for interval_id in INTERVALS:
         prof = integrate_profile(p, interval_id)
-        grid = assemble_leaf(p, prof, n_t)
+        grid = assemble_leaf(p, prof)
         diag = leaf_diagnostics(p, grid)
         ends = [prof.asymptote_pos] + (
             [prof.asymptote_neg] if prof.asymptote_neg != "removable" else [])

@@ -25,7 +25,13 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .config import PRESETS, RunConfig
-from .errors import DegenerateFrame, NoConvergence, NotStarShaped, StepUnderflow
+from .errors import (
+    DegenerateFrame,
+    NoConvergence,
+    NotClosed,
+    NotStarShaped,
+    StepUnderflow,
+)
 
 # 2x2 rotation generator and the symplectic pairing on R^4.
 J0 = np.array([[0.0, -1.0], [1.0, 0.0]])
@@ -380,7 +386,6 @@ def integrate_flow(
     T: float,
     with_variational: bool = False,
     tol: float = 1e-10,
-    t_eval=None,
     n_samples: int = 200,
     method: str = "RK45",
 ):
@@ -391,6 +396,7 @@ def integrate_flow(
     with_variational : also propagate the 4x4 fundamental solution of the
         linearized flow along the same adaptive step sequence.
     tol : per-step error tolerance (both relative and absolute).
+    n_samples : number of equally spaced output times on [0, T].
     method : embedded adaptive Runge-Kutta pair; the default 'RK45' is the
         5(4) pair, 'DOP853' trades more stages for tight tolerances.
 
@@ -404,11 +410,9 @@ def integrate_flow(
     """
     z0 = np.asarray(z0, float)
     y0 = np.concatenate([z0, np.eye(4).ravel()]) if with_variational else z0
-    if t_eval is None:
-        t_eval = np.linspace(0.0, T, n_samples)
     sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0,
-                    method=method, rtol=tol, atol=tol, t_eval=t_eval,
-                    dense_output=False)
+                    method=method, rtol=tol, atol=tol,
+                    t_eval=np.linspace(0.0, T, n_samples), dense_output=False)
     if sol.status == -1:
         raise StepUnderflow(sol.message)
     states = sol.y[:4].T
@@ -419,33 +423,25 @@ def integrate_flow(
     return traj, mats
 
 
-def surface_project(
-    p: HamiltonianParams,
-    z,
-    surface_tol: float = 1e-10,
-    capture_radius: float = 1e-2,
-    max_newton: int = 50,
-):
+def surface_project(p: HamiltonianParams, z):
     """Return a nearby point of H^{-1}(1/2) by Newton steps along grad(H).
 
     Vectorized over leading axes.  Raises NoConvergence if any point fails
-    to reach |H - 1/2| <= surface_tol, and rejects inputs outside the
-    capture radius.
+    to reach |H - 1/2| <= 1e-10 within 50 steps, and rejects inputs with
+    |H - 1/2| >= 1e-2.
     """
     z = np.array(z, float, copy=True)
     h0, _, _ = hamiltonian_eval(p, z)
-    if np.any(np.abs(h0 - 0.5) >= capture_radius):
+    if np.any(np.abs(h0 - 0.5) >= 1e-2):
         raise NoConvergence("point outside the capture radius of the surface")
-    for _ in range(max_newton):
+    # 51 checks: the starting point and the result of each of 50 steps
+    for _ in range(51):
         h, grad, _ = hamiltonian_eval(p, z)
         err = h - 0.5
-        if np.all(np.abs(err) <= surface_tol):
+        if np.all(np.abs(err) <= 1e-10):
             return z
         gg = np.sum(grad * grad, axis=-1)
         z = z - (err / gg)[..., None] * grad
-    h, _, _ = hamiltonian_eval(p, z)
-    if np.all(np.abs(h - 0.5) <= surface_tol):
-        return z
     raise NoConvergence("surface projection did not converge")
 
 
@@ -560,27 +556,25 @@ def restrict_linearized_to_xi(
     orbit,
     frame_kind: str = "rho_orbit_frame",
     n_samples: int = 256,
-    tol: float = 1e-10,
-    path_tol: float = 1e-7,
 ) -> SymplecticPath:
     """Compress the 4x4 linearized Reeb flow along a closed orbit to the
     2x2 symplectic path on the contact plane.
 
-    The orbit must close up within the orbit tolerance.  In the
-    'rho_orbit_frame' the basis is the lifted planar pair, whose coordinates
-    are just the (x2, y2) components; in the 'global_frame' the compression
-    projects along the Reeb direction and solves against (Xbar1, Xbar2).
+    The orbit must close up within ORBIT_CLOSE_TOL, else NotClosed is
+    raised.  In the 'rho_orbit_frame' the basis is the lifted planar pair,
+    whose coordinates are just the (x2, y2) components; in the
+    'global_frame' the compression projects along the Reeb direction and
+    solves against (Xbar1, Xbar2).
     """
     if n_samples < 64:
         raise ValueError("n_samples must be at least 64")
     z0 = np.asarray(orbit.initial_state, float)
     T = float(orbit.reeb_period)
-    t_eval = np.linspace(0.0, T, n_samples)
-    traj, mats = integrate_flow(p, z0, T, with_variational=True, tol=tol,
-                                t_eval=t_eval)
+    traj, mats = integrate_flow(p, z0, T, with_variational=True,
+                                n_samples=n_samples)
     gap = np.linalg.norm(traj.states[-1] - z0)
     if gap > ORBIT_CLOSE_TOL:
-        raise ValueError(f"orbit does not close up (gap {gap:g})")
+        raise NotClosed(f"orbit does not close up (gap {gap:g})")
 
     if frame_kind == "rho_orbit_frame":
         e0 = rho_frame_basis(p, z0)
@@ -602,7 +596,7 @@ def restrict_linearized_to_xi(
     phi = np.array(phi)
     phi[0] = np.eye(2)
     path = SymplecticPath(
-        tau=t_eval / T,
+        tau=traj.t / T,
         mats=phi,
         frame_kind=frame_kind,
         period=T,
@@ -610,6 +604,6 @@ def restrict_linearized_to_xi(
         label=getattr(orbit, "label", ""),
     )
     defect = path.det_defect()
-    if defect > path_tol:
+    if defect > 1e-7:
         raise DegenerateFrame(f"path symplecticity defect {defect:g} exceeds tolerance")
     return path

@@ -123,15 +123,14 @@ def _axis_roots(p: HamiltonianParams) -> np.ndarray:
     return np.array(sorted(roots))
 
 
-def _newton_grid_critical(p: HamiltonianParams, n_grid: int = 41,
-                          crit_tol: float = 1e-9, max_iter: int = 60):
-    """Newton on grad(H2) seeded on a grid over [-4 eps, 4 eps]^2; catches
-    critical points off the symmetry axis."""
+def _newton_grid_critical(p: HamiltonianParams):
+    """Newton on grad(H2) seeded on a 41 x 41 grid over [-4 eps, 4 eps]^2;
+    catches critical points off the symmetry axis."""
     e = p.epsilon
-    g = np.linspace(-4 * e, 4 * e, n_grid)
+    g = np.linspace(-4 * e, 4 * e, 41)
     xx, yy = np.meshgrid(g, g)
     pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    for _ in range(max_iter):
+    for _ in range(60):
         q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
         grad = np.stack([q, pp], axis=-1)
         hess = model.h2_hess(p, pts[:, 0], pts[:, 1])
@@ -146,15 +145,15 @@ def _newton_grid_critical(p: HamiltonianParams, n_grid: int = 41,
         pts = pts - step
     q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
     res = np.hypot(q, pp)
-    keep = (res <= crit_tol) & (np.max(np.abs(pts), axis=-1) <= 6 * e)
+    keep = (res <= 1e-9) & (np.max(np.abs(pts), axis=-1) <= 6 * e)
     return pts[keep]
 
 
-def _merge_points(pts: np.ndarray, merge_tol: float) -> np.ndarray:
+def _merge_points(pts: np.ndarray) -> np.ndarray:
     merged: list = []
     for pt in pts:
         for m in merged:
-            if np.hypot(pt[0] - m[0], pt[1] - m[1]) < merge_tol:
+            if np.hypot(pt[0] - m[0], pt[1] - m[1]) < 1e-7:
                 break
         else:
             merged.append(pt)
@@ -185,15 +184,13 @@ def classify_critical_point(p: HamiltonianParams, loc) -> CriticalPoint:
     return CriticalPoint(np.array([x, y]), val, signature, flow_type, k1, k2)
 
 
-def find_critical_points(p: HamiltonianParams, crit_tol: float = 1e-9,
-                         merge_tol: float = 1e-7) -> list:
+def find_critical_points(p: HamiltonianParams) -> list:
     """All critical points of H2: closed-form axis roots polished by Newton,
     plus a full-plane Newton grid as a safety net, deduplicated."""
     roots = _axis_roots(p)
     axis = np.stack([roots, np.zeros(len(roots))], axis=-1)
-    grid = _newton_grid_critical(p, crit_tol=crit_tol)
-    pts = _merge_points(np.concatenate([axis, grid]) if len(grid) else axis,
-                        merge_tol)
+    grid = _newton_grid_critical(p)
+    pts = _merge_points(np.concatenate([axis, grid]) if len(grid) else axis)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     return [classify_critical_point(p, pt) for pt in pts]
 
@@ -217,19 +214,26 @@ def validate_structure(p: HamiltonianParams) -> StructureReport:
     by_x = report.axis_points
     if len(by_x) == 3 and abs(by_x[0].location[0]) < 1e-10:
         origin, mid, outer = by_x
-        signs = [
-            (int(np.sign(mid.k1)), int(np.sign(mid.k2))),
-            (int(np.sign(origin.k1)), int(np.sign(origin.k2))),
-            (int(np.sign(outer.k1)), int(np.sign(outer.k2))),
-        ]
-        report.pattern_ok = signs == [(1, -1), (1, 1), (-1, 1)]
-        if not report.pattern_ok:
-            anomalies.append(f"transverse sign pattern {signs} != [(+,-),(+,+),(-,+)]")
-            if origin.flow_type != "hyperbolic":
+        capped = [cp for cp in by_x if cp.k1 is None]
+        for cp in capped:
+            anomalies.append(
+                f"axis point x = {cp.location[0]:.6g} has H2 = "
+                f"{cp.h2_value:.6g} >= 1/2: no binding orbit over it")
+        if not capped:
+            signs = [
+                (int(np.sign(mid.k1)), int(np.sign(mid.k2))),
+                (int(np.sign(origin.k1)), int(np.sign(origin.k2))),
+                (int(np.sign(outer.k1)), int(np.sign(outer.k2))),
+            ]
+            report.pattern_ok = signs == [(1, -1), (1, 1), (-1, 1)]
+            if not report.pattern_ok:
                 anomalies.append(
-                    "origin is elliptic (k1*k2 = "
-                    f"{origin.k1 * origin.k2:.6g} < 0 requires c*d < 0)"
-                )
+                    f"transverse sign pattern {signs} != [(+,-),(+,+),(-,+)]")
+                if origin.flow_type != "hyperbolic":
+                    anomalies.append(
+                        "origin is elliptic (k1*k2 = "
+                        f"{origin.k1 * origin.k2:.6g} < 0 requires c*d < 0)"
+                    )
     else:
         anomalies.append("axis pattern 0 = p2 < p1 < p3 not found")
     p.structure = report
@@ -281,7 +285,7 @@ def special_orbits(p: HamiltonianParams):
     return p1, p2, p3
 
 
-def orbit_action(curve: np.ndarray, orbit_tol: float = 1e-7) -> float:
+def orbit_action(curve: np.ndarray) -> float:
     """Action integral of lambda0 over a sampled closed loop.
 
     The loop is given as uniformly-parametrized samples (n, 4) with the
@@ -294,7 +298,7 @@ def orbit_action(curve: np.ndarray, orbit_tol: float = 1e-7) -> float:
         raise ValueError("need at least 8 samples")
     closure = np.linalg.norm(curve[0] - curve[-1])
     typical = np.median(np.linalg.norm(np.diff(curve, axis=0), axis=-1))
-    if closure > 10 * max(typical, orbit_tol):
+    if closure > 10 * max(typical, 1e-7):
         raise NotClosed(f"loop closure gap {closure:g}")
     # fourth-order periodic tangents keep the composite quadrature error
     # at O(h^4)
@@ -342,7 +346,6 @@ def planar_period_and_area(
     seed,
     max_time: float = 1e4,
     tol: float = 1e-10,
-    level_tol: float = 1e-8,
     n_loop: int = 2048,
 ):
     """Hamiltonian-time period and enclosed signed area of the planar loop
@@ -355,7 +358,7 @@ def planar_period_and_area(
     """
     seed = np.asarray(seed, float)
     if abs(float(model.h2_eval(p, seed[0], seed[1])) - level) > max(
-        100 * level_tol, 1e-8 * max(1.0, abs(level))
+        1e-6, 1e-8 * max(1.0, abs(level))
     ):
         raise ValueError("seed is not on the requested level")
     rhs = planar_rhs(p)
@@ -416,7 +419,6 @@ def claim_hessian_period(
     p: HamiltonianParams,
     loop: np.ndarray,
     t_ham: float,
-    claim_tol: float = 1e-9,
 ):
     """Audit of the universal lower bound h_sup * T >= 2 pi for nonconstant
     periodic Hamiltonian-time solutions, where h_sup is the sup of the
@@ -442,25 +444,8 @@ def claim_hessian_period(
         "h_sup": h_sup,
         "t_ham": float(t_ham),
         "product": product,
-        "pass": bool(product >= 2.0 * np.pi - claim_tol),
+        "pass": bool(product >= 2.0 * np.pi - 1e-9),
     }
-
-
-def claim1_check(p: HamiltonianParams, orbit_or_loop, t_ham: float = None,
-                 claim_tol: float = 1e-9):
-    """Run the Hessian-period audit on a ReebOrbit (whose planar datum is
-    constant, so the Hamiltonian period is 2 pi) or an explicit loop."""
-    if isinstance(orbit_or_loop, ReebOrbit):
-        n = 512
-        ang = 2.0 * np.pi * np.arange(n) / n
-        x = orbit_or_loop.z2_datum
-        loop = np.stack(
-            [orbit_or_loop.r * np.cos(ang), orbit_or_loop.r * np.sin(ang),
-             np.full(n, x[0]), np.full(n, x[1])], axis=-1)
-        return claim_hessian_period(p, loop, 2.0 * np.pi, claim_tol=claim_tol)
-    if t_ham is None:
-        raise ValueError("t_ham required for explicit loops")
-    return claim_hessian_period(p, orbit_or_loop, t_ham, claim_tol=claim_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -510,8 +495,6 @@ def resonant_orbit_scan(
     level_lo: float = None,
     level_hi: float = None,
     n_levels: int = 64,
-    m2_cap: int = 8,
-    resonance_tol: float = 1e-6,
 ):
     """Scan planar levels for closed product orbits of small action.
 
@@ -520,7 +503,7 @@ def resonant_orbit_scan(
     orbit needs m1 / m2 = tau(C) / (2 pi), and its action is
     m1 * pi * (1 - 2C) + m2 * area.  The scan emits every candidate with a
     conservative minimal action <= action_bound (m1 rounded up to the next
-    admissible ratio within the resonance tolerance).  An empty result is
+    admissible ratio within 1e-6, over m2 = 1..8).  An empty result is
     the success mode.  Levels whose loops do not return in the horizon are
     recorded as diagnostics.
     """
@@ -540,8 +523,8 @@ def resonant_orbit_scan(
                                 "status": "no-return", "elapsed": elapsed})
         for seed, tau, area, loop in components:
             best = None
-            for m2 in range(1, m2_cap + 1):
-                m1 = int(np.ceil(m2 * tau / (2.0 * np.pi) - resonance_tol))
+            for m2 in range(1, 9):
+                m1 = int(np.ceil(m2 * tau / (2.0 * np.pi) - 1e-6))
                 m1 = max(m1, 1)
                 action = m1 * np.pi * (1.0 - 2.0 * level) + m2 * abs(area)
                 if best is None or action < best[0]:
@@ -597,11 +580,11 @@ def saddle_eigendirections(p: HamiltonianParams):
     return v_unst, v_stab, mu
 
 
-def _trace_branch(p: HamiltonianParams, direction: np.ndarray, offset: float,
-                  horizon: float, tol: float = 1e-13):
-    # the return approach reaches the detection radius only if the level
-    # drift over the excursion stays well below offset^2, hence the tight
-    # tolerances here
+def _trace_branch(p: HamiltonianParams, direction: np.ndarray):
+    # launched offset from the saddle; the return approach reaches the
+    # detection radius only if the level drift over the excursion stays
+    # well below offset^2, hence the tight tolerances here
+    offset = 1e-6
     rhs = planar_rhs(p)
     z0 = offset * direction
     # detection radius a hair inside the launch radius so the event function
@@ -617,8 +600,8 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray, offset: float,
     def x_axis(t, z):
         return z[1]
 
-    sol = solve_ivp(rhs, (0.0, horizon), z0, method="DOP853",
-                    rtol=tol, atol=1e-16,
+    sol = solve_ivp(rhs, (0.0, 1e4), z0, method="DOP853",
+                    rtol=1e-13, atol=1e-16,
                     events=[back_home, x_axis], dense_output=True)
     if not len(sol.t_events[0]):
         raise NoReturn("separatrix branch did not return to the saddle",
@@ -645,27 +628,21 @@ def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
     return np.sqrt((r12 - orbit.r) ** 2 + dz2**2)
 
 
-def separatrix_and_homoclinics(
-    p: HamiltonianParams,
-    launch_offset: float = 1e-6,
-    horizon: float = 50.0,
-    planar_horizon: float = 1e4,
-):
+def separatrix_and_homoclinics(p: HamiltonianParams):
     """Trace both separatrix branches of the planar saddle and build the
     product homoclinic trajectory with its convergence report.
 
-    The branches gamma1 (inner loop) and gamma2 (outer loop) are launched a
-    small offset along the unstable eigendirection; the homoclinic is the
-    Reeb-flow trajectory over the launch point, integrated both time
-    directions for `horizon`, with end distances to the hyperbolic binding
-    orbit reported.
+    The branches gamma1 (inner loop) and gamma2 (outer loop) are launched
+    1e-6 along the unstable eigendirection; the homoclinic is the Reeb-flow
+    trajectory over the launch point, integrated both time directions for
+    Reeb time 50, with end distances to the hyperbolic binding orbit
+    reported.
     """
     v_unst, v_stab, _ = saddle_eigendirections(p)
 
     branches = {}
     for sign in (+1.0, -1.0):
-        samples, crossings, area, t_end = _trace_branch(
-            p, sign * v_unst, launch_offset, planar_horizon)
+        samples, crossings, area, t_end = _trace_branch(p, sign * v_unst)
         pos = crossings[crossings > 1e-6]
         key = float(np.min(pos)) if len(pos) else np.inf
         branches[sign] = (samples, crossings, area, t_end, key)
@@ -694,6 +671,7 @@ def separatrix_and_homoclinics(
     x_apex = float(gamma1.axis_crossings[0])
     r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, x_apex, 0.0)))
     z0 = np.array([r, 0.0, x_apex, 0.0])
+    horizon = 50.0
     fwd, _ = model.integrate_flow(p, z0, horizon, tol=1e-13, n_samples=800,
                                   method="DOP853")
     bwd, _ = model.integrate_flow(p, z0, -horizon, tol=1e-13, n_samples=800,
@@ -709,6 +687,6 @@ def separatrix_and_homoclinics(
             orbit_p2, fwd.states[-1][None, :])[0]),
         "end_distance_backward": float(distance_to_orbit_set(
             orbit_p2, bwd.states[-1][None, :])[0]),
-        "horizon": float(horizon),
+        "horizon": horizon,
     }
     return (gamma1, gamma2), traj, report

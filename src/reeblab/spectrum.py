@@ -165,8 +165,7 @@ def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
     return m
 
 
-def _disentangle_clusters(w: np.ndarray, v: np.ndarray, n_nodes: int,
-                          tol: float = 1e-9):
+def _disentangle_clusters(w: np.ndarray, v: np.ndarray, n_nodes: int):
     """Rotate eigenvector bases of (near-)degenerate clusters so sawtooth
     content concentrates in as few columns as possible.
 
@@ -175,7 +174,8 @@ def _disentangle_clusters(w: np.ndarray, v: np.ndarray, n_nodes: int,
     degenerate sawtooth partner; an arbitrary orthogonal mixture would
     spoil the winding of the smooth member.  Within each cluster the basis
     is rotated by the right singular vectors of the sawtooth overlap, which
-    is deterministic and leaves the eigenspace unchanged.
+    is deterministic and leaves the eigenspace unchanged.  A cluster is a
+    run of eigenvalues within 1e-9 (relative) of its first.
     """
     sign = np.repeat((-1.0) ** np.arange(n_nodes), 2)
     saw = np.zeros((2 * n_nodes, 2))
@@ -186,7 +186,7 @@ def _disentangle_clusters(w: np.ndarray, v: np.ndarray, n_nodes: int,
     i = 0
     while i < len(w):
         j = i + 1
-        while j < len(w) and w[j] - w[i] < tol * scale:
+        while j < len(w) and w[j] - w[i] < 1e-9 * scale:
             j += 1
         if j - i > 1:
             block = v[:, i:j]
@@ -276,12 +276,11 @@ def generalized_cz(report: SpectrumReport, frame_correction: int):
     )
 
 
-def spectrum_property_audit(report: SpectrumReport, wind_band: int = 2,
-                            eq_tol: float = 1e-8):
+def spectrum_property_audit(report: SpectrumReport, wind_band: int = 2):
     """Checks on the trusted band: (a) windings monotone in the eigenvalue,
     (b) exactly two eigenvalues per interior winding value, (c) pointwise
-    linear independence of same-winding eigensections at distinct
-    eigenvalues.  Raises BandTooNarrow unless the band covers the requested
+    linear independence of same-winding eigensections at eigenvalues more
+    than 1e-8 apart.  Raises BandTooNarrow unless the band covers the requested
     winding range; returns the audit record with any violations."""
     wk = report.eigenvalues
     windk = report.windings
@@ -302,7 +301,7 @@ def spectrum_property_audit(report: SpectrumReport, wind_band: int = 2,
         sel = np.where(windk == k)[0]
         for i in range(len(sel)):
             for j in range(i + 1, len(sel)):
-                if abs(wk[sel[i]] - wk[sel[j]]) < eq_tol:
+                if abs(wk[sel[i]] - wk[sel[j]]) < 1e-8:
                     continue  # same eigenspace, independence not claimed
                 u = report.eigenvectors[:, :, sel[i]]
                 v = report.eigenvectors[:, :, sel[j]]

@@ -50,16 +50,15 @@ class SvgCanvas:
         sy = VIEW - (y - self.y0) / (self.y1 - self.y0) * VIEW
         return sx, sy
 
-    def polyline(self, pts, color, width=1.2, dash=None, closed=False):
+    def polyline(self, pts, color, width=1.2, dash=None):
         if len(pts) < 2:
             return
         coords = " ".join(
             f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (self._map(x, y) for x, y in pts)
         )
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
-        tag = "polygon" if closed else "polyline"
         self.parts.append(
-            f'<{tag} points="{coords}" fill="none" stroke="{color}"'
+            f'<polyline points="{coords}" fill="none" stroke="{color}"'
             f' stroke-width="{_fmt(width)}"{dash_attr}/>'
         )
 

@@ -119,6 +119,24 @@ def test_validate_exit_zero_despite_hypothesis_failure(tmp_path):
     assert payload["items"]["index_pattern"]["status"] == "fail"
 
 
+def test_orbits_reports_an_axis_point_above_the_energy_cap(tmp_path):
+    # at eps = 2 the axis point x = eps/2 has H2 = 7/6 >= 1/2, so no
+    # binding orbit lies over it
+    assert main(["--out", str(tmp_path), "--epsilon", "2", "orbits"]) == 0
+    payload = json.loads((tmp_path / "orbits.json").read_text())
+    assert not payload["structure_ok"]
+    assert any("x = 1 " in a and "H2 = 1.16667" in a
+               for a in payload["anomalies"])
+
+
+def test_validate_fails_the_chain_above_the_energy_cap(tmp_path):
+    assert main(["--out", str(tmp_path), "--epsilon", "2", "validate"]) == 0
+    payload = json.loads((tmp_path / "validate.json").read_text())
+    assert not payload["structure"]["pattern_ok"]
+    assert payload["items"]["period_chain"]["status"] == "fail"
+    assert payload["items"]["index_pattern"]["status"] == "fail"
+
+
 def test_validate_report_completeness(tmp_path):
     code = main(["--out", str(tmp_path), "--preset", "paper-figure",
                  "--epsilon", "0.5", "validate"])
@@ -211,8 +229,16 @@ def test_bad_config_is_a_usage_error(tmp_path, capsys, text, named):
     (["link", "--pair", "P1"], "'P1'"),
     (["link", "--pair", "P1,P9"], "'P1,P9'"),
     (["link", "--pair", "P2,P2"], "'P2,P2'"),
+    (["cz", "--orbit", "P1", "--iterate", "0"], "--iterate"),
+    (["cz", "--orbit", "P1", "--iterate", "-1"], "'-1'"),
+    (["spectrum", "--orbit", "P1", "--iterate", "0"], "--iterate"),
+    (["spectrum", "--orbit", "P1", "--nodes", "100"], "'100'"),
+    (["spectrum", "--orbit", "P1", "--nodes", "129"], "'129'"),
+    (["scan", "--bound", "nan"], "'nan'"),
 ], ids=["epsilon-negative", "epsilon-nan", "pair-one-label",
-        "pair-unknown-label", "pair-repeated-label"])
+        "pair-unknown-label", "pair-repeated-label", "cz-iterate-zero",
+        "cz-iterate-negative", "spectrum-iterate-zero", "nodes-too-few",
+        "nodes-odd", "bound-nan"])
 def test_bad_flag_is_a_usage_error(tmp_path, capsys, argv, named):
     with pytest.raises(SystemExit) as exc:
         main(["--out", str(tmp_path), *argv])

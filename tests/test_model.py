@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reeblab import model
-from reeblab.errors import DegenerateFrame, NoConvergence, NotStarShaped
+from reeblab.errors import DegenerateFrame, NoConvergence, NotClosed, NotStarShaped
 
 EPS = 0.5
 
@@ -313,6 +314,12 @@ def test_path_starts_at_identity_and_symplectic(params, numeric_paths):
     for path in numeric_paths.values():
         assert np.array_equal(path.mats[0], np.eye(2))
         assert path.det_defect() < 1e-7
+
+
+def test_restriction_rejects_an_orbit_that_does_not_close(params, trio):
+    short = dataclasses.replace(trio[2], reeb_period=0.9 * trio[2].reeb_period)
+    with pytest.raises(NotClosed, match="gap"):
+        model.restrict_linearized_to_xi(params, short)
 
 
 def test_base_orbit_end_matrix_hyperbolic(params, numeric_paths, trio):

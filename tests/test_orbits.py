@@ -223,7 +223,7 @@ def test_level_components_match_every_seed_traced(params, offset):
 
 
 def test_claim_bound_on_base_orbit(params, trio):
-    res = orbits.claim1_check(params, trio[1])
+    res = orbits.claim_hessian_period(params, trio[1].curve(512), 2 * np.pi)
     assert res["h_sup"] >= 1.0
     assert res["product"] >= 2 * np.pi - 1e-9
     assert res["pass"]
@@ -235,14 +235,14 @@ def test_claim_bound_on_planar_loop(params):
     seeds = orbits.axis_level_seeds(params, level)
     seed = seeds[np.argmin(np.abs(seeds[:, 0] - mid.location[0]))]
     tau, _, loop = orbits.planar_period_and_area(params, level, seed)
-    res = orbits.claim1_check(params, loop, t_ham=tau)
+    res = orbits.claim_hessian_period(params, loop, tau)
     assert res["pass"]
 
 
 def test_claim_rejects_constant_loop(params):
     loop = np.tile([0.2, 0.0], (16, 1))
     with pytest.raises(ValueError):
-        orbits.claim1_check(params, loop, t_ham=1.0)
+        orbits.claim_hessian_period(params, loop, 1.0)
 
 
 def test_separatrix_crossings_match_quadratic_roots(separatrix):
