@@ -72,7 +72,8 @@ def run_validate(cfg: RunConfig) -> dict:
         "points": [asdict(cp) for cp in structure.points],
     }
 
-    # (i) period chain, from the critical values of the axis points;
+    # (i) period chain, from the critical values of the axis points; an
+    # axis point with H2 >= 1/2 carries no orbit, so its period is null.
     # special_orbits checks the same chain and the sign pattern, so its
     # error is the note when it refuses
     axis = structure.axis_points
@@ -82,12 +83,15 @@ def run_validate(cfg: RunConfig) -> dict:
     except ReebLabError as exc:
         note = str(exc)
     if len(axis) == 3:
-        t2, t1, t3 = (np.pi * (1.0 - 2.0 * cp.h2_value) for cp in axis)
-        evidence = {"T1": t1, "T2": t2, "T3": t3, "2T1": 2 * t1}
+        t2, t1, t3 = (np.pi * (1.0 - 2.0 * cp.h2_value)
+                      if cp.h2_value < 0.5 else None for cp in axis)
+        chain_ok = None not in (t1, t2, t3) and t1 < t2 < t3 < 2 * t1
+        evidence = {"T1": t1, "T2": t2, "T3": t3,
+                    "2T1": None if t1 is None else 2 * t1}
         if note is not None:
             evidence["note"] = note
         items["period_chain"] = {
-            "status": "pass" if t1 < t2 < t3 < 2 * t1 else "fail",
+            "status": "pass" if chain_ok else "fail",
             "evidence": evidence,
         }
     else:
@@ -193,7 +197,7 @@ def run_validate(cfg: RunConfig) -> dict:
             out[..., 0] = 1.0
             return out
 
-        _, quads, sign = czindex.eigenframe_and_quadrants(p, trio[1], sec_e1)
+        quads, sign = czindex.eigenframe_and_quadrants(p, trio[1], sec_e1)
         quad_ev = {"pairing_sign": sign,
                    "quadrants": sorted({q for q in quads.tolist() if q})}
     items["sphere_obstruction"] = {
@@ -341,7 +345,10 @@ def _cmd_leaf(cfg, out: Path, args):
 
 def _cmd_atlas(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
-    atlas = leaves.foliation_atlas(p)
+    # special_orbits refuses an invalid structure or period chain before
+    # the separatrix is traced; a valid structure has a saddle at the origin
+    orbits.special_orbits(p)
+    atlas = leaves.foliation_atlas(p, orbits.separatrix_and_homoclinics(p))
     payload = {"leaves": {}, "binding_orbits": {}, "separatrix_shadow": {}}
     for iid, entry in atlas["leaves"].items():
         diag = asdict(entry["diagnostics"])
@@ -361,7 +368,8 @@ def _cmd_atlas(cfg, out: Path, args):
     payload["separatrix_shadow"]["status"] = atlas["separatrix_shadow"]["status"]
     payload["homoclinic_report"] = atlas["homoclinic_report"]
     _write(out / "atlas.json", dumps(payload))
-    _write(out / "atlas.svg", svgplot.plot_atlas(p, atlas))
+    _write(out / "atlas.svg",
+           svgplot.plot_atlas(p, atlas, svgplot.level_curves(p)))
 
 
 def _cmd_scan(cfg, out: Path, args):
@@ -407,8 +415,9 @@ def _cmd_plot(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     targets = set(args.targets)
     # the planar figures share one tracing of the level curves and one
-    # separatrix; a non-hyperbolic preset has none, which plot_levels
-    # tolerates and plot_separatrix reports
+    # separatrix.  A non-hyperbolic preset has none: plot_levels draws
+    # without it, and the separatrix target asks for it again, so that the
+    # NotHyperbolic naming the origin ends the run
     curves = separatrix = None
     if targets & {"levels", "atlas"}:
         curves = svgplot.level_curves(p)
@@ -420,8 +429,9 @@ def _cmd_plot(cfg, out: Path, args):
     plots = {
         "levels": lambda: svgplot.plot_levels(p, curves, separatrix),
         "atlas": lambda: svgplot.plot_atlas(
-            p, leaves.foliation_atlas(p, separatrix=separatrix), curves),
-        "separatrix": lambda: svgplot.plot_separatrix(p, separatrix),
+            p, leaves.foliation_atlas(p, separatrix), curves),
+        "separatrix": lambda: svgplot.plot_separatrix(
+            p, separatrix or orbits.separatrix_and_homoclinics(p)),
         "orbit3d-projection": lambda: svgplot.plot_orbit_projection(
             p, seed=cfg.seed),
     }

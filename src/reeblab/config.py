@@ -77,7 +77,7 @@ class RunConfig:
     def from_json(cls, text: str) -> "RunConfig":
         data = json.loads(text)
         if not isinstance(data, dict):
-            raise ValueError("config must be a JSON object")
+            raise ValueError(f"config must be a JSON object, got {type(data).__name__}")
         known = {f for f in cls.__dataclass_fields__}
         unknown = set(data) - known
         if unknown:

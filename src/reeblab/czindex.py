@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateOrbit,
@@ -56,19 +57,6 @@ class CZResult:
     method: str
 
 
-@dataclass
-class EigenFrame:
-    """Invariant-manifold frame along a hyperbolic orbit: v_minus spans the
-    unstable direction (multiplier beta > 1), v_plus the stable one, ordered
-    as a positive basis at every node."""
-
-    orbit: object
-    tau: np.ndarray
-    v_minus: np.ndarray
-    v_plus: np.ndarray
-    multiplier_beta: float
-
-
 # ---------------------------------------------------------------------------
 # winding numbers
 
@@ -84,13 +72,14 @@ def _direction_turns(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
             return turns
         if attempt == 0:
             mats = path.resampled(4 * (path.n_nodes - 1) + 1).mats
-    raise SamplingTooCoarse("angle increments exceed pi/2 even after refinement")
+    raise SamplingTooCoarse(f"angle increments up to {np.max(step):.3g} exceed "
+                            "pi/2 even after refinement")
 
 
 def winding_number(path: SymplecticPath, z0) -> float:
     """Winding Delta(z0) of the path applied to one direction, in turns."""
     if path.n_nodes < 64:
-        raise ValueError("path must carry at least 64 nodes")
+        raise ValueError(f"path must carry at least 64 nodes, got {path.n_nodes}")
     z0 = np.asarray(z0, float)
     z0 = z0 / np.linalg.norm(z0)
     return float(_direction_turns(path, z0[None, :])[0])
@@ -102,31 +91,10 @@ def _winding_of_direction_angle(path: SymplecticPath, phis) -> np.ndarray:
     return _direction_turns(path, dirs)
 
 
-def _golden_refine(f: Callable, lo: float, hi: float, minimize: bool):
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = f(c) * (1 if minimize else -1)
-    fd = f(d) * (1 if minimize else -1)
-    for _ in range(60):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c) * (1 if minimize else -1)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d) * (1 if minimize else -1)
-        if b - a < 1e-12:
-            break
-    x = 0.5 * (a + b)
-    return x, f(x)
-
-
 def winding_interval(path: SymplecticPath) -> WindingInterval:
-    """Winding interval over 256 directions of a half circle, endpoints
-    sharpened by golden-section refinement around the sampled extremes.
+    """Winding interval over 256 directions of a half circle, each endpoint
+    sharpened by scipy's bounded scalar minimiser on the two sample
+    spacings around the sampled extreme.
 
     Raises DegenerateOrbit when an endpoint sits within 1e-6 of an integer
     (the path's end map has 1 in its spectrum).
@@ -136,15 +104,17 @@ def winding_interval(path: SymplecticPath) -> WindingInterval:
     deltas = _winding_of_direction_angle(path, phis)
     h = np.pi / n
 
-    def delta_of(phi):
-        return float(_winding_of_direction_angle(path, phi)[0])
+    def extreme(sign, i):
+        # the winding is quadratic near its extreme, so an angle tolerance
+        # of 1e-8 puts the endpoint within rounding of the true extreme
+        res = minimize_scalar(
+            lambda phi: sign * float(_winding_of_direction_angle(path, phi)[0]),
+            bounds=(phis[i] - h, phis[i] + h), method="bounded",
+            options={"xatol": 1e-8})
+        return sign * float(res.fun)
 
-    i_min = int(np.argmin(deltas))
-    i_max = int(np.argmax(deltas))
-    _, lo = _golden_refine(delta_of, phis[i_min] - h, phis[i_min] + h, True)
-    _, hi = _golden_refine(delta_of, phis[i_max] - h, phis[i_max] + h, False)
-    lo = min(lo, float(np.min(deltas)))
-    hi = max(hi, float(np.max(deltas)))
+    lo = min(extreme(1.0, int(np.argmin(deltas))), float(np.min(deltas)))
+    hi = max(extreme(-1.0, int(np.argmax(deltas))), float(np.max(deltas)))
     margin = float(min(np.abs(lo - np.round(lo)), np.abs(hi - np.round(hi))))
     contains = bool(np.floor(hi) >= np.ceil(lo))
     if margin < 1e-6:
@@ -231,7 +201,7 @@ def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
     """k-fold iterate by the group law Phi_k(t + j/k) = Phi(t) Phi(1)^j,
     built by exact concatenation of the stored nodes."""
     if k < 1:
-        raise ValueError("k must be positive")
+        raise ValueError(f"k must be positive, got {k}")
     if k == 1:
         return path
     end = path.end_matrix()
@@ -344,9 +314,10 @@ def hyperbolic_eigenvectors(path: SymplecticPath):
 
     v_minus = eigvec(beta)
     v_plus = eigvec(1.0 / beta)
-    if np.abs(np.linalg.det(np.stack([v_minus, v_plus], axis=-1))) < 1e-12:
-        raise NotHyperbolic("eigenvectors are collinear")
-    if np.linalg.det(np.stack([v_minus, v_plus], axis=-1)) < 0:
+    det = np.linalg.det(np.stack([v_minus, v_plus], axis=-1))
+    if abs(det) < 1e-12:
+        raise NotHyperbolic(f"eigenvectors are collinear (det {det:g})")
+    if det < 0:
         v_plus = -v_plus
     res = np.linalg.norm(m @ v_minus - beta * v_minus) \
         + np.linalg.norm(m @ v_plus - v_plus / beta)
@@ -379,25 +350,23 @@ def eigenframe_and_quadrants(p, orbit: ReebOrbit, section):
 
     `section` is a callable of the unit parameter returning coordinates
     (..., 2) in the orbit-adapted frame, the frame of the exact transverse
-    path.  Returns (EigenFrame, quadrants, pairing_sign) at 256 nodes, where
+    path.  Returns (quadrants, pairing_sign) at 256 nodes, where
     pairing_sign is '+', '-' or 'mixed' according to the sign of the Lie
     pairing at all nodes.
     """
     path = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
-    v_minus0, v_plus0, beta = hyperbolic_eigenvectors(path)
+    v_minus0, v_plus0, _ = hyperbolic_eigenvectors(path)
     taus = np.arange(256) / 256
     mats = path.value(taus)
     vm = np.einsum("nij,j->ni", mats, v_minus0)
     vp = np.einsum("nij,j->ni", mats, v_plus0)
     vm /= np.linalg.norm(vm, axis=-1, keepdims=True)
     vp /= np.linalg.norm(vp, axis=-1, keepdims=True)
-    frame = EigenFrame(orbit=orbit, tau=taus, v_minus=vm, v_plus=vp,
-                       multiplier_beta=beta)
-
     w = np.asarray(section(taus), float)
     norms = np.linalg.norm(w, axis=-1)
     if np.any(norms < 1e-12):
-        raise VanishingSection("section vanishes at a node")
+        raise VanishingSection(
+            f"section vanishes at a node (|section| = {np.min(norms):g})")
     quads = classify_quadrant(vm, vp, w)
     pairing = lie_pairing(path, section, taus)
     scaled = pairing / (norms**2)
@@ -407,7 +376,7 @@ def eigenframe_and_quadrants(p, orbit: ReebOrbit, section):
         sign = "-"
     else:
         sign = "mixed"
-    return frame, quads, sign
+    return quads, sign
 
 
 # ---------------------------------------------------------------------------

@@ -77,10 +77,6 @@ class OutsideEnergyCap(ReebLabError):
     """A profile point violates the energy relation f(g)^2 >= 0."""
 
 
-class BracketFailure(ReebLabError):
-    """A root bracket could not be established."""
-
-
 class SlowConvergence(ReebLabError):
     """A profile failed to reach its asymptote within the arc-length span."""
 

@@ -23,7 +23,7 @@ def jacobi_eigh(A):
     """
     A = np.asarray(A, float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
-        raise ValueError("matrix must be square")
+        raise ValueError(f"matrix must be square, got shape {A.shape}")
     bad = int(np.count_nonzero(~np.isfinite(A)))
     if bad:
         raise ValueError(f"matrix has {bad} non-finite entries")

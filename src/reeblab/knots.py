@@ -33,7 +33,8 @@ class ClosedCurve:
     def __post_init__(self):
         self.samples = np.asarray(self.samples, float)
         if self.samples.ndim != 2 or self.samples.shape[1] != 4:
-            raise ValueError("samples must have shape (n, 4)")
+            raise ValueError("samples must have shape (n, 4), got "
+                             f"{self.samples.shape}")
 
     @property
     def n(self) -> int:
@@ -125,7 +126,8 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
     section = np.asarray(section, float)
     norms = np.linalg.norm(section, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):
-        raise VanishingSection("push-off section vanishes at a node")
+        raise VanishingSection("push-off section vanishes at a node "
+                               f"(|section| = {np.min(norms):g})")
     pushed = curve.samples + offset * section / norms
     pushed = model.surface_project(p, pushed)
     d = np.linalg.norm(pushed[:, None, :] - curve.samples[None, :, :], axis=-1)

@@ -28,7 +28,6 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
-    BracketFailure,
     OutsideEnergyCap,
     SlowConvergence,
     UnreliableWinding,
@@ -50,14 +49,12 @@ LEAF_ROLES = {
 
 @dataclass
 class LeafProfile:
-    interval_id: str
     s: np.ndarray
     g: np.ndarray
     f: np.ndarray
     a: np.ndarray
     asymptote_neg: str  # orbit label or 'removable'
     asymptote_pos: str
-    endpoints: tuple
 
 
 @dataclass
@@ -107,42 +104,30 @@ def profile_rhs(p: HamiltonianParams, g: float) -> float:
 
 
 def solve_xbar(p: HamiltonianParams):
-    """Energy-cap roots of H2(x, 0) = 1/2: the unique positive solution
-    (bisection on (p3, 2] polished by Newton) and the negative one."""
+    """Energy-cap roots of H2(x, 0) = 1/2: the root above p3 and the
+    negative root nearest the origin.
+
+    Both come from the companion-matrix roots that
+    orbits.axis_level_seeds(p, 0.5) takes, each polished by one Newton
+    step: the companion roots alone leave |H2 - 1/2| up to 1.2e-14 at
+    eps = 1, the Newton step brings it to rounding.  Raises
+    OutsideEnergyCap when no root lies above p3, which happens when
+    H2(p3, 0) >= 1/2.
+    """
     p3 = orbits.structure_of(p).axis_points[-1].location[0]
+    seeds = orbits.axis_level_seeds(p, 0.5)
+    xs = seeds[seeds[:, 1] == 0.0, 0]
+    above = xs[xs > p3]
+    if not len(above):
+        raise OutsideEnergyCap(
+            f"no energy-cap root above p3 = {p3:g}, where H2 = "
+            f"{float(model.h2_eval(p, p3, 0.0)):g} >= 1/2")
 
-    def fun(x):
-        return float(model.h2_eval(p, x, 0.0)) - 0.5
+    def newton(x):
+        q, _ = model.h2_grad(p, x, 0.0)
+        return x - (float(model.h2_eval(p, x, 0.0)) - 0.5) / q
 
-    def bisect_newton(lo, hi):
-        flo, fhi = fun(lo), fun(hi)
-        if flo * fhi > 0:
-            raise BracketFailure(f"no sign change on [{lo:g}, {hi:g}]")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = fun(mid)
-            if flo * fm <= 0:
-                hi, fhi = mid, fm
-            else:
-                lo, flo = mid, fm
-            if hi - lo < 1e-6:
-                break
-        x = 0.5 * (lo + hi)
-        for _ in range(60):
-            q, _ = model.h2_grad(p, x, 0.0)
-            step = fun(x) / q
-            x -= step
-            if abs(step) < 1e-12:
-                break
-        return x
-
-    hi = 2.0
-    while fun(hi) < 0:
-        hi *= 2.0
-    lo = -2.0
-    while fun(lo) < 0:
-        lo *= 2.0
-    return bisect_newton(p3 + 1e-9, hi), bisect_newton(lo, -1e-12)
+    return newton(float(np.min(above))), newton(float(np.max(xs[xs < 0.0])))
 
 
 def _interval_bounds(p: HamiltonianParams, interval_id: str):
@@ -186,7 +171,7 @@ def integrate_profile(
     asym_tol = 1e-6
     lo, hi = _interval_bounds(p, interval_id)
     if hi - lo < 10 * 1e-12:
-        raise ValueError("interval endpoints not separated")
+        raise ValueError(f"interval endpoints {lo:g} and {hi:g} not separated")
     g_mid = 0.5 * (lo + hi)
     slope = profile_rhs(p, g_mid)
     # the flow runs monotonically toward one endpoint in each s direction
@@ -234,17 +219,14 @@ def integrate_profile(
     a = out[:, 1]
     f = np.sqrt(np.maximum(f_squared(p, g), 0.0))
     trio = {o.label: o for o in orbits.special_orbits(p)}
-    prof = LeafProfile(
-        interval_id=interval_id,
+    return LeafProfile(
         s=s_grid,
         g=g,
         f=f,
         a=a,
         asymptote_neg=_asymptote_label(p, bwd_target, trio),
         asymptote_pos=_asymptote_label(p, fwd_target, trio),
-        endpoints=(lo, hi),
     )
-    return prof
 
 
 def assemble_leaf(p: HamiltonianParams, profile: LeafProfile,
@@ -252,7 +234,7 @@ def assemble_leaf(p: HamiltonianParams, profile: LeafProfile,
     """Sample the map u(s, t) on the profile's s grid times a periodic
     t grid (endpoint omitted)."""
     if n_t < 64:
-        raise ValueError("n_t must be at least 64")
+        raise ValueError(f"n_t must be at least 64, got {n_t}")
     t = np.arange(n_t) / n_t
     ang = 2.0 * np.pi * t
     f = profile.f[:, None]
@@ -315,9 +297,10 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
         if label == "removable":
             return None
         sec = pi_us_rows[row]
-        if np.max(np.linalg.norm(sec, axis=-1)) < wind_floor:
-            raise UnreliableWinding(
-                f"projected u_s below floor at the {label} end")
+        sec_max = np.max(np.linalg.norm(sec, axis=-1))
+        if sec_max < wind_floor:
+            raise UnreliableWinding(f"projected u_s up to {sec_max:g} below "
+                                    f"floor {wind_floor:g} at the {label} end")
         # a closed loop's turn count is an integer however coarse the
         # sampling, so the largest angle step is the only guard
         turns, step = model.winding_turns(
@@ -357,7 +340,7 @@ def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str):
     prof = grid.profile
     label = prof.asymptote_pos if end == "pos" else prof.asymptote_neg
     if label in ("removable", "unknown"):
-        raise ValueError(f"{end} end is not asymptotic to an orbit")
+        raise ValueError(f"{end} end is not asymptotic to an orbit ({label!r})")
     trio = {o.label: o for o in orbits.special_orbits(p)}
     orbit = trio[label]
     idx = len(prof.s) - 2 if end == "pos" else 1
@@ -403,13 +386,12 @@ def fredholm_index(mu_pos: int, mu_negs, n_punctures: int) -> int:
     return mu_pos - sum(mu_negs) - 2 + n_punctures
 
 
-def foliation_atlas(p: HamiltonianParams, separatrix=None):
+def foliation_atlas(p: HamiltonianParams, separatrix):
     """All four explicit leaves with diagnostics, role labels, index
     arithmetic and the separatrix shadow standing in for the off-axis
     rigid cylinders (which the symmetric ansatz cannot reach).
 
-    `separatrix` is the result of orbits.separatrix_and_homoclinics,
-    computed here when not given."""
+    `separatrix` is the result of orbits.separatrix_and_homoclinics."""
     trio = {o.label: o for o in orbits.special_orbits(p)}
     mus = {"P1": 1, "P2": 2, "P3": 3}
     leaves = {}
@@ -436,7 +418,7 @@ def foliation_atlas(p: HamiltonianParams, separatrix=None):
             "fredholm_index": ind,
             "wind_pi": wind_pi,
         }
-    (g1, g2), _, conv = separatrix or orbits.separatrix_and_homoclinics(p)
+    (g1, g2), _, conv = separatrix
     return {
         "leaves": leaves,
         "binding_orbits": trio,

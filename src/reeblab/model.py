@@ -96,7 +96,7 @@ class HamiltonianParams:
 
     def __post_init__(self):
         if not self.epsilon > 0:
-            raise ValueError("epsilon must be positive")
+            raise ValueError(f"epsilon must be positive, got {self.epsilon!r}")
 
     @classmethod
     def from_preset(cls, name: str, epsilon: float = 0.5) -> "HamiltonianParams":
@@ -243,14 +243,16 @@ def frame_sections(p: HamiltonianParams, z):
     _, grad, _ = hamiltonian_eval(p, z)
     gnorm = np.linalg.norm(grad, axis=-1)
     if np.any(gnorm < FRAME_TOL):
-        raise DegenerateFrame("gradient of H vanishes")
+        raise DegenerateFrame(
+            f"gradient of H vanishes (|grad H| = {np.min(gnorm):g})")
     n = grad / gnorm[..., None]
     x1v = n @ FRAME_A1.T
     x2v = n @ FRAME_A2.T
     x3v = n @ FRAME_A3.T
     lam3 = lambda0(z, x3v)
     if np.any(np.abs(lam3) < FRAME_TOL):
-        raise DegenerateFrame("lambda0(X_3) below frame tolerance")
+        raise DegenerateFrame("lambda0(X_3) below frame tolerance "
+                              f"(|lambda0(X_3)| = {np.min(np.abs(lam3)):g})")
     xbar1 = x1v - (lambda0(z, x1v) / lam3)[..., None] * x3v
     xbar2 = x2v - (lambda0(z, x2v) / lam3)[..., None] * x3v
     return xbar1, xbar2
@@ -414,7 +416,7 @@ def integrate_flow(
                     method=method, rtol=tol, atol=tol,
                     t_eval=np.linspace(0.0, T, n_samples), dense_output=False)
     if sol.status == -1:
-        raise StepUnderflow(sol.message)
+        raise StepUnderflow(f"{sol.message} (at t = {sol.t[-1]:g})")
     states = sol.y[:4].T
     h, _, _ = hamiltonian_eval(p, states)
     drift = float(np.max(np.abs(h - h[0])))
@@ -433,7 +435,8 @@ def surface_project(p: HamiltonianParams, z):
     z = np.array(z, float, copy=True)
     h0, _, _ = hamiltonian_eval(p, z)
     if np.any(np.abs(h0 - 0.5) >= 1e-2):
-        raise NoConvergence("point outside the capture radius of the surface")
+        raise NoConvergence("point outside the capture radius of the surface "
+                            f"(|H - 1/2| = {np.max(np.abs(h0 - 0.5)):g})")
     # 51 checks: the starting point and the result of each of 50 steps
     for _ in range(51):
         h, grad, _ = hamiltonian_eval(p, z)
@@ -442,7 +445,8 @@ def surface_project(p: HamiltonianParams, z):
             return z
         gg = np.sum(grad * grad, axis=-1)
         z = z - (err / gg)[..., None] * grad
-    raise NoConvergence("surface projection did not converge")
+    raise NoConvergence("surface projection did not converge "
+                        f"(|H - 1/2| = {np.max(np.abs(err)):g} after 50 steps)")
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +475,8 @@ class SymplecticPath:
         self.tau = np.asarray(self.tau, float)
         self.mats = np.asarray(self.mats, float)
         if not np.array_equal(self.mats[0], np.eye(2)):
-            raise ValueError("path must start at the identity exactly")
+            raise ValueError("path must start at the identity exactly, "
+                             f"starts at {self.mats[0].tolist()}")
 
     @property
     def n_nodes(self) -> int:
@@ -567,7 +572,7 @@ def restrict_linearized_to_xi(
     solves against (Xbar1, Xbar2).
     """
     if n_samples < 64:
-        raise ValueError("n_samples must be at least 64")
+        raise ValueError(f"n_samples must be at least 64, got {n_samples}")
     z0 = np.asarray(orbit.initial_state, float)
     T = float(orbit.reeb_period)
     traj, mats = integrate_flow(p, z0, T, with_variational=True,
@@ -591,7 +596,8 @@ def restrict_linearized_to_xi(
         coords = frame_coords(xbar1[:, None, :], xbar2[:, None, :], cols)
         phi = np.swapaxes(coords, 1, 2)  # (n, 2, 2): rows coords, cols inputs
     else:
-        raise ValueError("frame_kind must be 'rho_orbit_frame' or 'global_frame'")
+        raise ValueError("frame_kind must be 'rho_orbit_frame' or "
+                         f"'global_frame', got {frame_kind!r}")
 
     phi = np.array(phi)
     phi[0] = np.eye(2)

@@ -73,9 +73,6 @@ class ReebOrbit:
     z2_datum: np.ndarray
     r: float
     reeb_period: float
-    m1: int = 1
-    m2: int = 0
-    multiplicity: int = 1
     k1: Optional[float] = None
     k2: Optional[float] = None
 
@@ -103,61 +100,12 @@ class ReebOrbit:
 class SeparatrixBranch:
     branch_id: str  # 'gamma1' | 'gamma2'
     samples: np.ndarray  # planar points on the zero level of H2
-    launch_vector: np.ndarray
     enclosed_area: float
     axis_crossings: np.ndarray = field(default_factory=lambda: np.zeros(0))
 
 
 # ---------------------------------------------------------------------------
 # critical points
-
-
-def _axis_roots(p: HamiltonianParams) -> np.ndarray:
-    """Real roots of Q(x, 0) = x (2 x^2 + 3 eps a x + 2 eps^2 c) = 0."""
-    e = p.epsilon
-    disc = 9.0 * p.a * p.a - 16.0 * p.c
-    roots = [0.0]
-    if disc >= 0.0:
-        s = np.sqrt(disc)
-        roots += [e * (-3.0 * p.a + s) / 4.0, e * (-3.0 * p.a - s) / 4.0]
-    return np.array(sorted(roots))
-
-
-def _newton_grid_critical(p: HamiltonianParams):
-    """Newton on grad(H2) seeded on a 41 x 41 grid over [-4 eps, 4 eps]^2;
-    catches critical points off the symmetry axis."""
-    e = p.epsilon
-    g = np.linspace(-4 * e, 4 * e, 41)
-    xx, yy = np.meshgrid(g, g)
-    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
-    for _ in range(60):
-        q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
-        grad = np.stack([q, pp], axis=-1)
-        hess = model.h2_hess(p, pts[:, 0], pts[:, 1])
-        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
-        ok = np.abs(det) > 1e-14
-        step = np.zeros_like(pts)
-        inv00 = hess[ok, 1, 1] / det[ok]
-        inv01 = -hess[ok, 0, 1] / det[ok]
-        inv11 = hess[ok, 0, 0] / det[ok]
-        step[ok, 0] = inv00 * grad[ok, 0] + inv01 * grad[ok, 1]
-        step[ok, 1] = inv01 * grad[ok, 0] + inv11 * grad[ok, 1]
-        pts = pts - step
-    q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
-    res = np.hypot(q, pp)
-    keep = (res <= 1e-9) & (np.max(np.abs(pts), axis=-1) <= 6 * e)
-    return pts[keep]
-
-
-def _merge_points(pts: np.ndarray) -> np.ndarray:
-    merged: list = []
-    for pt in pts:
-        for m in merged:
-            if np.hypot(pt[0] - m[0], pt[1] - m[1]) < 1e-7:
-                break
-        else:
-            merged.append(pt)
-    return np.array(merged)
 
 
 def classify_critical_point(p: HamiltonianParams, loc) -> CriticalPoint:
@@ -184,15 +132,44 @@ def classify_critical_point(p: HamiltonianParams, loc) -> CriticalPoint:
     return CriticalPoint(np.array([x, y]), val, signature, flow_type, k1, k2)
 
 
-def find_critical_points(p: HamiltonianParams) -> list:
-    """All critical points of H2: closed-form axis roots polished by Newton,
-    plus a full-plane Newton grid as a safety net, deduplicated."""
-    roots = _axis_roots(p)
-    axis = np.stack([roots, np.zeros(len(roots))], axis=-1)
-    grid = _newton_grid_critical(p)
-    pts = _merge_points(np.concatenate([axis, grid]) if len(grid) else axis)
+def find_critical_points(p: HamiltonianParams):
+    """All critical points of H2 in closed form, sorted by x, then y.
+
+    On the axis they are the real roots of
+    Q(x, 0) = x (2 x^2 + 3 eps a x + 2 eps^2 c).  Off it, P = 2 y (r^2 +
+    eps b x + eps^2 d), so a critical point with y != 0 has
+    y^2 = -(eps b x + eps^2 d) - x^2 > 0, and Q = 0 then reduces to
+    3 (a - b) x^2 + eps (2c - 2d - b^2) x - eps^2 b d = 0.  When all three
+    of its coefficients vanish, every point of the circle
+    (x + eps b / 2)^2 + y^2 = eps^2 (b^2 / 4 - d) is critical.
+
+    Returns (points, circle): the classified points, and None or the
+    circle's (centre x, radius), whose off-axis points are not listed.
+    """
+    e = p.epsilon
+    axis = [0.0]
+    disc = 9.0 * p.a * p.a - 16.0 * p.c
+    if disc >= 0.0:
+        s = np.sqrt(disc)
+        axis += [e * (-3.0 * p.a + s) / 4.0, e * (-3.0 * p.a - s) / 4.0]
+    pts = [(x, 0.0) for x in np.unique(axis)]
+    coeffs = [3.0 * (p.a - p.b), e * (2.0 * p.c - 2.0 * p.d - p.b * p.b),
+              -e * e * p.b * p.d]
+    circle = None
+    if not any(coeffs):
+        r2 = e * e * (0.25 * p.b * p.b - p.d)
+        if r2 > 0.0:
+            # + 0.0 turns a centre of -0 into 0
+            circle = (-0.5 * e * p.b + 0.0, float(np.sqrt(r2)))
+    else:
+        roots = np.roots(coeffs)
+        for x in np.unique(roots[roots.imag == 0.0].real):
+            y2 = -(e * p.b * x + e * e * p.d) - x * x
+            if y2 > 0.0:
+                pts += [(x, -np.sqrt(y2)), (x, np.sqrt(y2))]
+    pts = np.array(pts)
     pts = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    return [classify_critical_point(p, pt) for pt in pts]
+    return [classify_critical_point(p, pt) for pt in pts], circle
 
 
 def validate_structure(p: HamiltonianParams) -> StructureReport:
@@ -202,10 +179,14 @@ def validate_structure(p: HamiltonianParams) -> StructureReport:
     The report is cached on the parameter record; it never raises, so a
     failing preset can still be diagnosed downstream.
     """
-    points = find_critical_points(p)
+    points, circle = find_critical_points(p)
     anomalies = []
-    count_ok = len(points) == 3
-    if not count_ok:
+    count_ok = len(points) == 3 and circle is None
+    if circle is not None:
+        anomalies.append(
+            f"critical points fill the circle of centre ({circle[0]:.6g}, 0)"
+            f" and radius {circle[1]:.6g}")
+    elif not count_ok:
         anomalies.append(
             f"expected 3 critical points, found {len(points)}"
         )
@@ -259,7 +240,7 @@ def special_orbits(p: HamiltonianParams):
     """
     rep = structure_of(p)
     if not rep.ok:
-        raise StructureMismatch("; ".join(rep.anomalies) or "structure invalid")
+        raise StructureMismatch("; ".join(rep.anomalies))
     origin, mid, outer = rep.axis_points
 
     def build(label, cp):
@@ -276,12 +257,14 @@ def special_orbits(p: HamiltonianParams):
     p1 = build("P1", mid)
     p2 = build("P2", origin)
     p3 = build("P3", outer)
-    if not p1.reeb_period < p2.reeb_period:
-        raise HypothesisFailure("T1 < T2 violated")
-    if not p2.reeb_period < p3.reeb_period:
-        raise HypothesisFailure("T2 < T3 violated")
-    if not p3.reeb_period < 2.0 * p1.reeb_period:
-        raise HypothesisFailure("T3 < 2*T1 violated")
+    t1, t2, t3 = p1.reeb_period, p2.reeb_period, p3.reeb_period
+    if not t1 < t2:
+        raise HypothesisFailure(f"T1 < T2 violated (T1 = {t1:.6g}, T2 = {t2:.6g})")
+    if not t2 < t3:
+        raise HypothesisFailure(f"T2 < T3 violated (T2 = {t2:.6g}, T3 = {t3:.6g})")
+    if not t3 < 2.0 * t1:
+        raise HypothesisFailure(
+            f"T3 < 2*T1 violated (T3 = {t3:.6g}, 2*T1 = {2.0 * t1:.6g})")
     return p1, p2, p3
 
 
@@ -295,7 +278,7 @@ def orbit_action(curve: np.ndarray) -> float:
     curve = np.asarray(curve, float)
     n = len(curve)
     if n < 8:
-        raise ValueError("need at least 8 samples")
+        raise ValueError(f"need at least 8 samples, got {n}")
     closure = np.linalg.norm(curve[0] - curve[-1])
     typical = np.median(np.linalg.norm(np.diff(curve, axis=0), axis=-1))
     if closure > 10 * max(typical, 1e-7):
@@ -357,15 +340,14 @@ def planar_period_and_area(
     horizon when no crossing returns (near-separatrix divergence).
     """
     seed = np.asarray(seed, float)
-    if abs(float(model.h2_eval(p, seed[0], seed[1])) - level) > max(
-        1e-6, 1e-8 * max(1.0, abs(level))
-    ):
-        raise ValueError("seed is not on the requested level")
+    h_seed = float(model.h2_eval(p, seed[0], seed[1]))
+    if abs(h_seed - level) > max(1e-6, 1e-8 * max(1.0, abs(level))):
+        raise ValueError(f"seed has H2 = {h_seed:g}, not the level {level:g}")
     rhs = planar_rhs(p)
     v0 = np.array(rhs(0.0, seed))
     speed = np.linalg.norm(v0)
     if speed < 1e-12:
-        raise ValueError("seed is a critical point")
+        raise ValueError(f"seed is a critical point (|grad H2| = {speed:g})")
     v0n = v0 / speed
 
     def section(t, z):
@@ -395,7 +377,9 @@ def planar_period_and_area(
                 break
         t0, z = float(sol.t[-1]), sol.y[:, -1]
     if tau is None:
-        raise NoReturn("no return to the section", elapsed=t0)
+        raise NoReturn(f"no return to the section through ({seed[0]:g}, "
+                       f"{seed[1]:g}) on level {level:g} within time {t0:g}",
+                       elapsed=t0)
 
     ts = np.arange(n_loop) / n_loop * tau
     loop = np.empty((n_loop, 2))
@@ -434,9 +418,10 @@ def claim_hessian_period(
     elif loop.shape[-1] == 4:
         _, _, hess = model.hamiltonian_eval(p, loop)
     else:
-        raise ValueError("loop must have 2 or 4 columns")
+        raise ValueError(f"loop must have 2 or 4 columns, got shape {loop.shape}")
     if np.max(np.linalg.norm(np.diff(loop, axis=0), axis=-1)) == 0.0:
-        raise ValueError("constant loop is not a nonconstant periodic solution")
+        raise ValueError(f"constant loop ({len(loop)} equal samples) is not a "
+                         "nonconstant periodic solution")
     norms = np.linalg.norm(hess, ord=2, axis=(-2, -1))
     h_sup = float(np.max(norms))
     product = h_sup * float(t_ham)
@@ -570,7 +555,8 @@ def saddle_eigendirections(p: HamiltonianParams):
     e = p.epsilon
     prod = -4.0 * e**4 * p.c * p.d
     if prod <= 0:
-        raise NotHyperbolic("origin is not a hyperbolic critical point")
+        raise NotHyperbolic("origin is not a hyperbolic critical point "
+                            f"(-4 eps^4 c d = {prod:g} <= 0)")
     mu = np.sqrt(prod)
     # rows: (dx, dy)' = (-2 eps^2 d * y, 2 eps^2 c * x)
     v_unst = np.array([-2.0 * e * e * p.d, mu])
@@ -604,8 +590,8 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray):
                     rtol=1e-13, atol=1e-16,
                     events=[back_home, x_axis], dense_output=True)
     if not len(sol.t_events[0]):
-        raise NoReturn("separatrix branch did not return to the saddle",
-                       elapsed=float(sol.t[-1]))
+        raise NoReturn("separatrix branch did not return to the saddle "
+                       f"within time {sol.t[-1]:g}", elapsed=float(sol.t[-1]))
     t_end = float(sol.t_events[0][0])
     ts = np.linspace(0.0, t_end, 4001)
     samples = sol.sol(ts).T
@@ -616,7 +602,7 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray):
     area = 0.5 * float(np.sum(
         closed[:-1, 0] * closed[1:, 1] - closed[1:, 0] * closed[:-1, 1]
     ))
-    return samples, crossings, area, t_end
+    return samples, crossings, area
 
 
 def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
@@ -642,22 +628,21 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
 
     branches = {}
     for sign in (+1.0, -1.0):
-        samples, crossings, area, t_end = _trace_branch(p, sign * v_unst)
+        samples, crossings, area = _trace_branch(p, sign * v_unst)
         pos = crossings[crossings > 1e-6]
         key = float(np.min(pos)) if len(pos) else np.inf
-        branches[sign] = (samples, crossings, area, t_end, key)
+        branches[sign] = (samples, crossings, area, key)
     # gamma1 is the branch with the smaller positive-axis crossing
-    if branches[+1.0][4] <= branches[-1.0][4]:
+    if branches[+1.0][3] <= branches[-1.0][3]:
         inner_sign, outer_sign = +1.0, -1.0
     else:
         inner_sign, outer_sign = -1.0, +1.0
 
     def mk(branch_id, sign):
-        samples, crossings, area, _, _ = branches[sign]
+        samples, crossings, area, _ = branches[sign]
         return SeparatrixBranch(
             branch_id=branch_id,
             samples=samples,
-            launch_vector=sign * v_unst,
             enclosed_area=area,
             axis_crossings=np.sort(crossings[crossings > 1e-6]),
         )

@@ -107,7 +107,8 @@ def build_S(path: SymplecticPath) -> OperatorModel:
                              orbit=path.orbit, constant_S=s_const,
                              asym_residual=0.0, frame_kind=path.frame_kind)
     if not np.allclose(np.diff(tau), tau[1] - tau[0], rtol=1e-9, atol=1e-12):
-        raise ValueError("path nodes must be uniform for differencing")
+        raise ValueError("path nodes must be uniform for differencing (spacing "
+                         f"{np.min(np.diff(tau)):g} to {np.max(np.diff(tau)):g})")
     mats = path.mats[:-1]
     nn = len(mats)
     dt = 1.0 / nn
@@ -154,7 +155,7 @@ def _resample_S(op: OperatorModel, n_nodes: int) -> np.ndarray:
 def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
     """Exactly symmetric discretization -kron(D, J0) - blockdiag(S)."""
     if n_nodes % 2 or n_nodes < 128:
-        raise ValueError("n_nodes must be even and at least 128")
+        raise ValueError(f"n_nodes must be even and at least 128, got {n_nodes}")
     s = _resample_S(op, n_nodes)
     d = _periodic_d4(n_nodes)
     m = -np.kron(d, J0)
@@ -237,7 +238,8 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumRepor
     neg = wk[wk < 0.0]
     pos = wk[wk >= 0.0]
     if not len(neg) or not len(pos):
-        raise BandTooNarrow("trusted band does not bracket zero")
+        raise BandTooNarrow(f"trusted band does not bracket zero: {len(neg)} "
+                            f"negative and {len(pos)} nonnegative eigenvalues")
     nu_neg = float(neg[-1])
     nu_pos = float(pos[0])
     wind_neg = int(windk[np.searchsorted(wk, nu_neg)])
@@ -332,7 +334,8 @@ def fourier_oracle_spectrum(s_const: np.ndarray, n_nodes: int) -> np.ndarray:
     s1 = float(s_const[0, 0])
     s2 = float(s_const[1, 1])
     if abs(s_const[0, 1]) > 1e-12 or abs(s_const[1, 0]) > 1e-12:
-        raise ValueError("oracle expects diagonal constant S")
+        raise ValueError("oracle expects diagonal constant S, off-diagonal "
+                         f"({s_const[0, 1]:g}, {s_const[1, 0]:g})")
     vals = [-s1, -s2]
     for n in range(1, n_nodes // 2):
         wn = d4_symbol(n, n_nodes)

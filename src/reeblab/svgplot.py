@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotHyperbolic
 from . import orbits, leaves
 from .model import HamiltonianParams
 
@@ -109,11 +108,12 @@ def level_curves(p: HamiltonianParams) -> list:
     return curves
 
 
-def plot_levels(p: HamiltonianParams, curves=None, separatrix=None) -> str:
+def plot_levels(p: HamiltonianParams, curves, separatrix) -> str:
     """Level curves of the planar factor with the critical points.
 
-    `curves` (from level_curves) and `separatrix` (from
-    orbits.separatrix_and_homoclinics) are computed here when not given.
+    `curves` comes from level_curves and `separatrix` from
+    orbits.separatrix_and_homoclinics; a non-hyperbolic preset has no
+    separatrix, and passes None to draw none.
     """
     e = p.epsilon
     box = (-1.2 * e * 3, 1.2 * e * 3.4, -1.8 * e * 2, 1.8 * e * 2)
@@ -121,15 +121,12 @@ def plot_levels(p: HamiltonianParams, curves=None, separatrix=None) -> str:
                               f"preset={p.preset_name})")
     cv.polyline([(box[0], 0.0), (box[1], 0.0)], PALETTE["axis"], 0.6)
     cv.polyline([(0.0, box[2]), (0.0, box[3])], PALETTE["axis"], 0.6)
-    for loop in level_curves(p) if curves is None else curves:
+    for loop in curves:
         pts = [(x, y) for x, y in loop]
         cv.polyline(pts + pts[:1], PALETTE["level"], 1.0)
-    try:
-        (g1, g2), _, _ = separatrix or orbits.separatrix_and_homoclinics(p)
-        for br in (g1, g2):
+    if separatrix is not None:
+        for br in separatrix[0]:
             cv.polyline([(x, y) for x, y in br.samples], PALETTE["separatrix"], 1.6)
-    except NotHyperbolic:
-        pass  # non-hyperbolic presets have no separatrix
     for cp in orbits.structure_of(p).points:
         cv.circle(cp.location[0], cp.location[1], 4.0, PALETTE["binding"])
         cv.text(cp.location[0] + 0.02, cp.location[1] + 0.05,
@@ -137,9 +134,10 @@ def plot_levels(p: HamiltonianParams, curves=None, separatrix=None) -> str:
     return cv.render()
 
 
-def plot_separatrix(p: HamiltonianParams, separatrix=None) -> str:
-    (g1, g2), traj, report = (separatrix
-                              or orbits.separatrix_and_homoclinics(p))
+def plot_separatrix(p: HamiltonianParams, separatrix) -> str:
+    """Both separatrix branches, their axis crossings and the planar shadow
+    of the homoclinic, from orbits.separatrix_and_homoclinics."""
+    (g1, g2), traj, report = separatrix
     e = p.epsilon
     box = (-1.0 * e, 3.0 * e, -1.4 * e, 1.4 * e)
     cv = SvgCanvas(box, title="separatrix branches and homoclinic shadow")
@@ -159,17 +157,16 @@ def plot_separatrix(p: HamiltonianParams, separatrix=None) -> str:
     return cv.render()
 
 
-def plot_atlas(p: HamiltonianParams, atlas=None, curves=None) -> str:
+def plot_atlas(p: HamiltonianParams, atlas, curves) -> str:
     """Projection of the explicit foliation onto the planar factor: level
     curves, binding points, the four axis profiles and the separatrix
-    shadow of the off-axis cylinders."""
-    if atlas is None:
-        atlas = leaves.foliation_atlas(p)
+    shadow of the off-axis cylinders.  `atlas` comes from
+    leaves.foliation_atlas and `curves` from level_curves."""
     xp, xm = leaves.solve_xbar(p)
     e = p.epsilon
     box = (xm - 0.4 * e, xp + 0.4 * e, -1.6 * e, 1.6 * e)
     cv = SvgCanvas(box, title="explicit foliation atlas (axis shadows)")
-    for loop in level_curves(p) if curves is None else curves:
+    for loop in curves:
         cv.polyline([(x, y) for x, y in loop], PALETTE["level"], 0.8)
     shadow = atlas["separatrix_shadow"]
     for key in ("gamma1", "gamma2"):

@@ -176,9 +176,12 @@ def test_criterion_9_determinism(tmp_path):
     for run in range(2):
         rep = run_validate(cfg)
         p = model.HamiltonianParams.from_config(cfg)
+        curves = svgplot.level_curves(p)
+        separatrix = orbits.separatrix_and_homoclinics(p)
         svgs = (
-            svgplot.plot_levels(p)
-            + svgplot.plot_atlas(p)
+            svgplot.plot_levels(p, curves, separatrix)
+            + svgplot.plot_atlas(p, leaves.foliation_atlas(p, separatrix),
+                                 curves)
             + svgplot.plot_orbit_projection(p, seed=cfg.seed)
         )
         blobs.append(hashlib.sha256((dumps(rep) + svgs).encode()).hexdigest())
@@ -209,9 +212,9 @@ def test_criterion_10_quadrant_dichotomy(params, trio):
                        make((0, 1, 1, 0), 0.0, 0.0)]
     ok = True
     for sec in negative_family:
-        _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
+        quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
         ok = ok and sign == "-" and set(quads.tolist()) <= {"II", "IV"}
     for sec in positive_family:
-        _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
+        quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
         ok = ok and sign == "+" and set(quads.tolist()) <= {"I", "III"}
     _report("10 quadrant dichotomy", ok)

@@ -135,6 +135,20 @@ def test_validate_fails_the_chain_above_the_energy_cap(tmp_path):
     assert not payload["structure"]["pattern_ok"]
     assert payload["items"]["period_chain"]["status"] == "fail"
     assert payload["items"]["index_pattern"]["status"] == "fail"
+    # pi (1 - 2 H2) at the axis point x = 1 would be -4.19: it is no period
+    ev = payload["items"]["period_chain"]["evidence"]
+    assert ev["T1"] is None and ev["2T1"] is None
+    assert ev["T2"] == pytest.approx(np.pi, abs=1e-15)
+    assert ev["T3"] > 0.0
+    assert "x = 1 has H2 = 1.16667 >= 1/2" in ev["note"]
+
+
+def test_atlas_of_the_figure_preset_names_its_structure(tmp_path, capsys):
+    code = main(["--out", str(tmp_path), "--preset", "paper-figure", "atlas"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(
+        "error: StructureMismatch: expected 3 critical points, found 5;")
+    assert not (tmp_path / "atlas.json").exists()
 
 
 def test_validate_report_completeness(tmp_path):
@@ -265,6 +279,18 @@ def test_config_hamiltonian_reaches_structure(tmp_path, fields):
     # d > 0 turns the origin elliptic and adds two off-axis saddles
     assert not payload["structure_ok"]
     assert len(payload["critical_points"]) == 5
+
+
+def test_orbits_reports_a_circle_of_critical_points(tmp_path):
+    out = _run_with_config(
+        tmp_path, {"coefficients": {"a": 0, "b": 0, "c": -1, "d": -1}},
+        "orbits")
+    payload = json.loads((out / "orbits.json").read_text())
+    assert not payload["structure_ok"]
+    assert payload["anomalies"][0] == ("critical points fill the circle of "
+                                       "centre (0, 0) and radius 0.5")
+    assert [pt["location"] for pt in payload["critical_points"]] == [
+        [-0.5, 0.0], [0.0, 0.0], [0.5, 0.0]]
 
 
 def test_config_epsilon_reaches_axis_roots(tmp_path):

@@ -64,6 +64,22 @@ def test_winding_intervals_of_binding_orbits(analytic_paths):
         assert iv.length < 0.5
 
 
+@pytest.mark.parametrize("label", ["P1", "P2", "P3"])
+@pytest.mark.parametrize("k", [1, 3])
+def test_winding_interval_endpoints_bound_dense_sampling(analytic_paths,
+                                                         numeric_paths,
+                                                         label, k):
+    """The sharpened endpoints enclose the windings of 8192 directions and
+    lie within the sampling error (spacing pi/8192) of their extremes."""
+    for path in (analytic_paths[label], numeric_paths[label]):
+        path = czindex.iterate_path(path, k)
+        iv = czindex.winding_interval(path)
+        dense = czindex._winding_of_direction_angle(
+            path, np.arange(8192) / 8192 * np.pi)
+        assert -2e-7 <= iv.lo - np.min(dense) <= 1e-14
+        assert -1e-14 <= iv.hi - np.max(dense) <= 2e-7
+
+
 def test_identity_path_degenerate():
     with pytest.raises(DegenerateOrbit):
         czindex.winding_interval(czindex.rotation_path(0.0, 257))
@@ -201,15 +217,15 @@ def _const_section(vec):
 
 def test_quadrant_dichotomy_constant_sections(params, trio):
     p2 = trio[1]
-    frame, quads, sign = czindex.eigenframe_and_quadrants(
+    quads, sign = czindex.eigenframe_and_quadrants(
         params, p2, _const_section([1.0, 0.0]))
     assert sign == "-"
     assert set(quads.tolist()) <= {"II", "IV"}
-    frame, quads, sign = czindex.eigenframe_and_quadrants(
+    quads, sign = czindex.eigenframe_and_quadrants(
         params, p2, _const_section([-1.0, 0.0]))
     assert sign == "-"
     assert set(quads.tolist()) <= {"II", "IV"}
-    frame, quads, sign = czindex.eigenframe_and_quadrants(
+    quads, sign = czindex.eigenframe_and_quadrants(
         params, p2, _const_section([0.0, 1.0]))
     assert sign == "+"
     assert set(quads.tolist()) <= {"I", "III"}
@@ -232,9 +248,9 @@ def test_quadrant_dichotomy_wiggled_sections(params, trio):
         out[..., 0] = 0.03 * np.sin(2 * np.pi * taus)
         return out
 
-    _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, neg_sec)
+    quads, sign = czindex.eigenframe_and_quadrants(params, p2, neg_sec)
     assert sign == "-" and set(quads.tolist()) <= {"II", "IV"}
-    _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, pos_sec)
+    quads, sign = czindex.eigenframe_and_quadrants(params, p2, pos_sec)
     assert sign == "+" and set(quads.tolist()) <= {"I", "III"}
 
 
@@ -256,7 +272,7 @@ def test_random_constant_sign_sections_never_mix(params, trio):
             out[..., 1] = amp * np.sin(2 * np.pi * taus + ph)
             return out
 
-        _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
+        quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
         if sign == "-":
             assert set(quads.tolist()) <= {"II", "IV"}
             checked += 1
@@ -277,7 +293,7 @@ def test_eigendirection_section_is_boundary(params, trio, analytic_paths):
         v = np.einsum("nij,j->ni", mats, vm)
         return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
-    _, quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
+    quads, sign = czindex.eigenframe_and_quadrants(params, p2, sec)
     assert sign == "mixed"
     assert set(quads.tolist()) == {None}
 

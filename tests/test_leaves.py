@@ -29,6 +29,31 @@ def test_energy_cap_small_epsilon_trend():
     assert abs(xm + 1.0) < 0.02
 
 
+@pytest.mark.parametrize("eps", [0.1, 0.5, 1.0])
+def test_energy_cap_roots_match_brent(eps):
+    from scipy.optimize import brentq
+
+    p = model.HamiltonianParams.from_preset("validated", eps)
+    p3 = orbits.structure_of(p).axis_points[-1].location[0]
+    xp, xm = leaves.solve_xbar(p)
+
+    def cap(x):
+        return float(model.h2_eval(p, x, 0.0)) - 0.5
+
+    assert abs(xp - brentq(cap, p3, 4.0, xtol=1e-16)) <= 1e-15
+    assert abs(xm - brentq(cap, -4.0, 0.0, xtol=1e-16)) <= 1e-15
+    assert abs(cap(xp)) <= 1e-14
+    assert abs(cap(xm)) <= 1e-14
+
+
+def test_no_energy_cap_root_above_p3():
+    # both nonzero axis points lie above the cap, the outer one at
+    # x = 1.72361 with H2 = 0.707639
+    p = model.HamiltonianParams(epsilon=2.0, a=-1.0, b=0.0, c=0.55, d=-0.1)
+    with pytest.raises(OutsideEnergyCap, match="p3 = 1.72361, where H2 = 0.707639"):
+        leaves.solve_xbar(p)
+
+
 def test_profile_rhs_signs(params, trio):
     p3 = trio[2].z2_datum[0]
     p1 = trio[0].z2_datum[0]
@@ -177,10 +202,10 @@ def ribbon_grid(params, orbit, taus, v):
     vec4 = np.einsum("nij,nj->ni", model.rho_frame_basis(params, pts), v)
     s = np.array([-1e-3, 0.0, 1e-3])
     u = pts[None, :, :] + s[:, None, None] * vec4[None, :, :]
-    prof = LeafProfile(interval_id="ribbon", s=s, g=u[:, 0, 2],
+    prof = LeafProfile(s=s, g=u[:, 0, 2],
                        f=np.hypot(u[:, 0, 0], u[:, 0, 1]),
                        a=np.zeros(3), asymptote_neg=orbit.label,
-                       asymptote_pos=orbit.label, endpoints=(0.0, 0.0))
+                       asymptote_pos=orbit.label)
     return LeafGrid(profile=prof, t=taus, u=u, a=np.zeros(3))
 
 

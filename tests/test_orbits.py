@@ -56,6 +56,84 @@ def test_figure_preset_structure(params_figure):
         orbits.special_orbits(params_figure)
 
 
+def _newton_grid_critical(p):
+    """Oracle for the closed-form critical points: Newton on grad(H2) from a
+    41 x 41 seed grid over [-4 eps, 4 eps]^2, converged points within 6 eps
+    kept and merged at 1e-7."""
+    e = p.epsilon
+    g = np.linspace(-4 * e, 4 * e, 41)
+    xx, yy = np.meshgrid(g, g)
+    pts = np.stack([xx.ravel(), yy.ravel()], axis=-1)
+    for _ in range(60):
+        q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
+        grad = np.stack([q, pp], axis=-1)
+        hess = model.h2_hess(p, pts[:, 0], pts[:, 1])
+        det = hess[:, 0, 0] * hess[:, 1, 1] - hess[:, 0, 1] ** 2
+        ok = np.abs(det) > 1e-14
+        step = np.zeros_like(pts)
+        inv00 = hess[ok, 1, 1] / det[ok]
+        inv01 = -hess[ok, 0, 1] / det[ok]
+        inv11 = hess[ok, 0, 0] / det[ok]
+        step[ok, 0] = inv00 * grad[ok, 0] + inv01 * grad[ok, 1]
+        step[ok, 1] = inv01 * grad[ok, 0] + inv11 * grad[ok, 1]
+        pts = pts - step
+    q, pp = model.h2_grad(p, pts[:, 0], pts[:, 1])
+    keep = (np.hypot(q, pp) <= 1e-9) & (np.max(np.abs(pts), axis=-1) <= 6 * e)
+    # one representative per 1e-9 cell first, so the greedy merge is short
+    _, first = np.unique(np.round(pts[keep], 9), axis=0, return_index=True)
+    merged = np.zeros((0, 2))
+    for pt in pts[keep][np.sort(first)]:
+        if not np.any(np.hypot(*(merged - pt).T) < 1e-7):
+            merged = np.vstack([merged, pt])
+    return merged
+
+
+def _oracle_cases():
+    cases = [HamiltonianParams.from_preset(name, eps)
+             for name in ("validated", "paper-figure")
+             for eps in (0.1, 0.5, 1.0, 2.0)]
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        a, b, c, d = rng.uniform(-2.0, 2.0, 4)
+        cases.append(HamiltonianParams(
+            epsilon=float(rng.choice([0.1, 0.5, 1.0, 2.0])), a=a, b=b, c=c, d=d))
+    return cases
+
+
+def test_closed_form_critical_points_match_newton_grid():
+    n_off_axis = 0
+    for p in _oracle_cases():
+        points, circle = orbits.find_critical_points(p)
+        got = np.array([cp.location for cp in points])
+        want = _newton_grid_critical(p)
+        assert circle is None
+        assert got.shape == want.shape, p
+        dist = np.hypot(got[:, None, 0] - want[None, :, 0],
+                        got[:, None, 1] - want[None, :, 1])
+        assert np.max(np.min(dist, axis=0)) <= 1e-12, p
+        assert np.max(np.min(dist, axis=1)) <= 1e-12, p
+        n_off_axis += int(np.sum(got[:, 1] != 0.0))
+    assert n_off_axis >= 100  # the off-axis branch is exercised
+
+
+def test_circle_of_critical_points_is_one_anomaly():
+    # a = b = 0 and c = d: H2 is radial, with a circle of minima
+    p = HamiltonianParams(epsilon=0.5, a=0.0, b=0.0, c=-1.0, d=-1.0)
+    points, circle = orbits.find_critical_points(p)
+    assert circle == (0.0, 0.5)
+    assert [cp.location[0] for cp in points] == [-0.5, 0.0, 0.5]
+    # every point the Newton grid converges to is the origin or on the circle
+    grid = _newton_grid_critical(p)
+    radius = np.hypot(grid[:, 0], grid[:, 1])
+    assert len(grid) > 100
+    assert np.all((radius < 1e-12) | (np.abs(radius - 0.5) < 1e-9))
+    rep = orbits.validate_structure(p)
+    assert not rep.ok
+    assert rep.anomalies[0] == ("critical points fill the circle of centre "
+                                "(0, 0) and radius 0.5")
+    assert not any("expected 3" in a for a in rep.anomalies)
+
+
 def test_special_orbit_periods_closed_forms(trio):
     p1, p2, p3 = trio
     assert p2.reeb_period == pytest.approx(np.pi, abs=1e-15)
