@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import NotHyperbolic, ReebLabError
+from .errors import NotHyperbolic, ReebLabError, StructureMismatch
 from . import czindex, knots, leaves, model, orbits, spectrum, svgplot
 from .model import HamiltonianParams
 
@@ -329,6 +329,9 @@ def _cmd_link(cfg, out: Path, args):
 def _cmd_leaf(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     which = args.which
+    # special_orbits names an invalid structure or period chain before the
+    # profile integration can fail on it less plainly
+    orbits.special_orbits(p)
     prof = leaves.integrate_profile(p, which)
     diag = leaves.leaf_diagnostics(p, leaves.assemble_leaf(p, prof))
     payload = {
@@ -393,6 +396,11 @@ def _cmd_scan(cfg, out: Path, args):
 
 def _cmd_homoclinic(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
+    # an invalid structure is named before a separatrix branch is traced; a
+    # failed period chain alone leaves the separatrix drawable
+    structure = orbits.structure_of(p)
+    if not structure.ok:
+        raise StructureMismatch("; ".join(structure.anomalies))
     (g1, g2), traj, report = orbits.separatrix_and_homoclinics(p)
     payload = {
         "convergence": report,

@@ -12,6 +12,7 @@ circle is the homoclinic set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -399,6 +400,125 @@ def planar_period_and_area(
     return tau, area, loop
 
 
+def _polish_radii(p: HamiltonianParams, level: float, z0, c, s, r):
+    """Vectorised Newton in r for H2(z0 + r (c, s)) = level from the guesses
+    r, until every step is below 1e-13 |z| or after 20 steps.  Returns (r,
+    radial speed (z - z0) . grad H2, residual H2 - level)."""
+    z0_norm = math.hypot(z0[0], z0[1])
+    for _ in range(20):
+        x, y = z0[0] + r * c, z0[1] + r * s
+        q, pp = model.h2_grad(p, x, y)
+        step = (model.h2_eval(p, x, y) - level) / (c * q + s * pp)
+        r = r - step
+        if np.max(np.abs(step) - 1e-13 * (r + z0_norm)) <= 0.0:
+            break
+    x, y = z0[0] + r * c, z0[1] + r * s
+    q, pp = model.h2_grad(p, x, y)
+    return r, r * (c * q + s * pp), model.h2_eval(p, x, y) - level
+
+
+def _fourier_resample(r: np.ndarray, n: int) -> np.ndarray:
+    """The trigonometric interpolant of the periodic samples r at n >= len(r)
+    equal steps from the same start."""
+    m = len(r)
+    spec = np.fft.rfft(r)
+    if m % 2 == 0:
+        spec[-1] *= 0.5  # the Nyquist term splits into +m/2 and -m/2
+    out = np.zeros(n // 2 + 1, complex)
+    out[:len(spec)] = spec
+    return np.fft.irfft(out, n) * (n / m)
+
+
+def polar_period_and_area(p: HamiltonianParams, level: float, seed, n_loop: int):
+    """Hamiltonian-time period and signed area of the planar loop of H2
+    through `seed` by trapezoid quadrature in polar coordinates, or None
+    when the quadrature cannot certify its result.
+
+    About the nearest non-saddle critical point z0 the loop is r(theta) with
+    H2(z0 + r e(theta)) = level; then tau = loop integral of
+    r^2 / ((z - z0) . grad H2) dtheta and area = 1/2 loop integral of
+    r^2 dtheta, smooth periodic integrands on which the trapezoid rule
+    converges geometrically.  Newton continuation on 64 angles from the
+    seed's angle solves for r, an FFT carries it to N = n_loop nodes, and
+    Newton polishes every node.  Certified means: every residual is at
+    rounding level, (z - z0) . grad H2 keeps one sign, the continuation
+    comes back to r = |seed - z0| at the seed's angle to 1e-12, and the
+    N-node and N/2-node periods agree to 1e-12 relative; N doubles up to
+    16 n_loop until they do.
+
+    Returns (tau, area, loop) like planar_period_and_area: loop holds
+    n_loop equal-angle nodes from the seed's angle in the flow direction,
+    and area is signed by that direction.
+    """
+    seed = np.asarray(seed, float)
+    centres = [cp.location for cp in structure_of(p).points
+               if cp.hessian_signature != "saddle"]
+    if not centres:
+        return None
+    z0 = min(centres, key=lambda c: np.hypot(*(seed - c)))
+    z0 = (float(z0[0]), float(z0[1]))
+    z0_norm = math.hypot(z0[0], z0[1])
+    dx, dy = float(seed[0]) - z0[0], float(seed[1]) - z0[1]
+    r_seed = math.hypot(dx, dy)
+    q, pp = model.h2_grad(p, float(seed[0]), float(seed[1]))
+    speed = dx * q + dy * pp
+    if r_seed == 0.0 or speed == 0.0:
+        return None
+    # the angle advances with the flow when the radial speed is positive
+    sense = math.copysign(1.0, speed)
+    theta0 = math.atan2(dy, dx)
+
+    # continuation in plain floats: an Euler predictor along
+    # dr/dtheta = r^2 (e_perp . grad H2) / radial speed, a Newton corrector,
+    # once round back to the seed's angle
+    n_coarse = 64
+    h = sense * 2.0 * math.pi / n_coarse
+    coarse = []
+    r = r_seed
+    for k in range(n_coarse + 1):
+        c, s = math.cos(theta0 + k * h), math.sin(theta0 + k * h)
+        for _ in range(20):
+            x, y = z0[0] + r * c, z0[1] + r * s
+            q, pp = model.h2_grad(p, x, y)
+            step = (model.h2_eval(p, x, y) - level) / (c * q + s * pp)
+            r -= step
+            if abs(step) <= 1e-13 * (r + z0_norm):
+                break
+        else:
+            return None
+        radial = r * (c * q + s * pp)
+        if not (r > 0.0 and radial * sense > 0.0):
+            return None
+        coarse.append(r)
+        r += h * r * r * (s * q - c * pp) / radial
+    if abs(coarse[-1] - r_seed) > 1e-12:
+        return None
+
+    n = n_loop
+    r = _fourier_resample(np.array(coarse[:-1]), n)
+    while n <= 16 * n_loop:
+        theta = theta0 + sense * 2.0 * np.pi * np.arange(n) / n
+        c, s = np.cos(theta), np.sin(theta)
+        r, radial, resid = _polish_radii(p, level, z0, c, s, r)
+        # the size of H2's terms at |z| <= r + |z0|, so 1e-14 of it is
+        # rounding level
+        scale = 0.5 * (r + z0_norm) ** 4 + abs(level)
+        if not (np.all(np.abs(resid) <= 1e-14 * scale)
+                and np.all(r > 0.0) and np.all(radial * sense > 0.0)):
+            return None
+        dt = r * r / np.abs(radial)
+        tau = 2.0 * np.pi * float(np.mean(dt))
+        if abs(tau - 2.0 * np.pi * float(np.mean(dt[::2]))) <= 1e-12 * tau:
+            area = float(sense * np.pi * np.mean(r * r))
+            stride = n // n_loop
+            loop = np.stack([z0[0] + r[::stride] * c[::stride],
+                             z0[1] + r[::stride] * s[::stride]], axis=-1)
+            return tau, area, loop
+        n *= 2
+        r = _fourier_resample(r, n)
+    return None
+
+
 def claim_hessian_period(
     p: HamiltonianParams,
     loop: np.ndarray,
@@ -413,16 +533,20 @@ def claim_hessian_period(
     dict {h_sup, t_ham, product, pass}.
     """
     loop = np.asarray(loop, float)
-    if loop.shape[-1] == 2:
-        hess = model.h2_hess(p, loop[:, 0], loop[:, 1])
-    elif loop.shape[-1] == 4:
-        _, _, hess = model.hamiltonian_eval(p, loop)
-    else:
+    if loop.shape[-1] not in (2, 4):
         raise ValueError(f"loop must have 2 or 4 columns, got shape {loop.shape}")
     if np.max(np.linalg.norm(np.diff(loop, axis=0), axis=-1)) == 0.0:
         raise ValueError(f"constant loop ({len(loop)} equal samples) is not a "
                          "nonconstant periodic solution")
-    norms = np.linalg.norm(hess, ord=2, axis=(-2, -1))
+    if loop.shape[-1] == 2:
+        # the norm of the symmetric 2x2 Hessian in closed form: the larger
+        # |eigenvalue|, |mean| + half the eigenvalue gap
+        hess = model.h2_hess(p, loop[:, 0], loop[:, 1])
+        hxx, hxy, hyy = hess[:, 0, 0], hess[:, 0, 1], hess[:, 1, 1]
+        norms = np.abs(0.5 * (hxx + hyy)) + np.hypot(0.5 * (hxx - hyy), hxy)
+    else:
+        _, _, hess = model.hamiltonian_eval(p, loop)
+        norms = np.linalg.norm(hess, ord=2, axis=(-2, -1))
     h_sup = float(np.max(norms))
     product = h_sup * float(t_ham)
     return {
@@ -451,11 +575,14 @@ def level_components(p: HamiltonianParams, level: float,
                      n_loop: int = 2048):
     """Trace each component of the level set H2 = level once.
 
-    Walks the axis seeds of the level and integrates one only if it is not
-    a critical point and does not lie on a loop already traced.  Returns
-    (components, no_return): components is a list of (seed, tau, area,
-    loop) as from planar_period_and_area, in seed order; no_return lists
-    (seed, elapsed) for the seeds whose loop did not return in max_time.
+    Walks the axis seeds of the level and traces one only if it is not a
+    critical point and does not lie on a loop already traced: by
+    polar_period_and_area, and by integrating planar_period_and_area
+    (horizon max_time, tolerance tol) where the quadrature cannot certify
+    itself.  Returns (components, no_return): components is a list of
+    (seed, tau, area, loop) in seed order, each loop of n_loop samples;
+    no_return lists (seed, elapsed) for the seeds whose loop did not return
+    in max_time.
     """
     crit = np.array([cp.location for cp in structure_of(p).points])
     components, no_return = [], []
@@ -464,13 +591,15 @@ def level_components(p: HamiltonianParams, level: float,
             continue  # a critical point is a constant loop
         if any(_on_loop(seed, comp[3]) for comp in components):
             continue
-        try:
-            tau, area, loop = planar_period_and_area(
-                p, level, seed, max_time=max_time, tol=tol, n_loop=n_loop)
-        except NoReturn as exc:
-            no_return.append((seed, exc.elapsed))
-            continue
-        components.append((seed, tau, area, loop))
+        traced = polar_period_and_area(p, level, seed, n_loop)
+        if traced is None:
+            try:
+                traced = planar_period_and_area(
+                    p, level, seed, max_time=max_time, tol=tol, n_loop=n_loop)
+            except NoReturn as exc:
+                no_return.append((seed, exc.elapsed))
+                continue
+        components.append((seed, *traced))
     return components, no_return
 
 

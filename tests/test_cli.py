@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reeblab
-from reeblab import orbits
+from reeblab import leaves, orbits
 from reeblab.cli import main
 from reeblab.config import RunConfig
 from reeblab.errors import NoReturn
@@ -351,6 +351,49 @@ def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
     assert main(["--out", str(tmp_path), "plot", "--targets", "levels",
                  "atlas", "separatrix"]) == 0
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
+    ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
+    ["homoclinic"]])
+def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
+                                                       monkeypatch, command):
+    """At eps = 2 the axis point x = 1 lies above the energy cap: each leaf
+    and the homoclinic name that structure, and integrate neither a leaf
+    profile nor a separatrix branch first."""
+    calls = []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(orbits, "_trace_branch",
+                        counted("branch", orbits._trace_branch))
+    monkeypatch.setattr(leaves, "integrate_profile",
+                        counted("profile", leaves.integrate_profile))
+    assert main(["--out", str(tmp_path), "--epsilon", "2", *command]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: StructureMismatch: axis point x = 1 has H2 = 1.16667 >= 1/2")
+    assert calls == []
+
+
+def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,
+                                                            monkeypatch):
+    """At eps = 1.2 the structure holds but T3 < 2 T1 fails: homoclinic
+    checks the structure only, so it goes on to trace the separatrix."""
+    calls = []
+
+    def stub(p):
+        calls.append(p.epsilon)
+        raise NoReturn("separatrix branch did not return", elapsed=0.0)
+
+    monkeypatch.setattr(orbits, "separatrix_and_homoclinics", stub)
+    assert main(["--out", str(tmp_path), "--epsilon", "1.2",
+                 "homoclinic"]) == 1
+    assert calls == [1.2]
 
 
 def test_reports_identical_across_processes(tmp_path):

@@ -300,6 +300,81 @@ def test_level_components_match_every_seed_traced(params, offset):
         sorted(areas), rel=1e-6)
 
 
+def _scan_levels(params, n_levels):
+    vals = sorted(cp.h2_value for cp in params.structure.axis_points)
+    lo, hi = vals[0], vals[-1]
+    return [lo + (k + 0.5) * (hi - lo) / n_levels for k in range(n_levels)]
+
+
+def _figure_levels(params):
+    vals = sorted(cp.h2_value for cp in params.structure.axis_points)
+    lo, hi = vals[0], vals[-1]
+    return [0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi, 3.0 * hi,
+            10.0 * hi, 0.25]
+
+
+def test_polar_quadrature_matches_the_ode_trace(params):
+    """Oracle: the DOP853 trace.  On every loop of the 64-level scan grid
+    (2048 nodes) and of the 8 figure levels (512 nodes) that the polar
+    quadrature certifies, its period and signed area agree with the trace
+    to 1e-9, and its loop starts at the seed."""
+    certified = 0
+    for levels, n_loop in ((_scan_levels(params, 64), 2048),
+                           (_figure_levels(params), 512)):
+        for level in levels:
+            comps, _ = orbits.level_components(params, level, max_time=1e4,
+                                               tol=1e-10, n_loop=n_loop)
+            for seed, _, _, _ in comps:
+                polar = orbits.polar_period_and_area(params, level, seed,
+                                                     n_loop)
+                if polar is None:
+                    continue
+                certified += 1
+                tau, area, loop = polar
+                want_tau, want_area, _ = orbits.planar_period_and_area(
+                    params, level, seed)
+                assert tau == pytest.approx(want_tau, rel=1e-9)
+                assert area == pytest.approx(want_area, rel=1e-9)
+                assert loop.shape == (n_loop, 2)
+                assert np.hypot(*(loop[0] - seed)) < 1e-12
+    assert certified >= 72
+
+
+def test_scan_falls_back_to_the_ode_only_next_to_the_separatrix(
+        params, trio, monkeypatch):
+    """The quadrature certifies every scan loop but those hugging the
+    separatrix, so at most 5 of the 67 loops are integrated."""
+    traced_levels = []
+    traced = orbits.planar_period_and_area
+
+    def counted(p, level, seed, **kwargs):
+        traced_levels.append(level)
+        return traced(p, level, seed, **kwargs)
+
+    monkeypatch.setattr(orbits, "planar_period_and_area", counted)
+    cands, diags = orbits.resonant_orbit_scan(params, trio[2].reeb_period)
+    assert cands == [] and len(diags) == 67
+    assert all(d["claim_pass"] for d in diags)
+    saddle = next(cp for cp in params.structure.points
+                  if cp.hessian_signature == "saddle")
+    assert len(traced_levels) <= 5
+    assert all(abs(level - saddle.h2_value) < 6e-3 for level in traced_levels)
+
+
+def test_polar_quadrature_refuses_a_loop_hugging_the_separatrix(params):
+    """At level -2.5e-4 the loop through x = 1.274 hugs the inner separatrix
+    loop and is not star-shaped about the well at x = 1: the quadrature
+    returns None rather than a wrong period."""
+    level = _scan_levels(params, 64)[60]
+    assert level == pytest.approx(-2.5e-4, rel=1e-2)
+    seeds = orbits.axis_level_seeds(params, level)
+    seed = seeds[np.argmin(np.abs(seeds[:, 0] - 1.274))]
+    assert seed[0] == pytest.approx(1.274, abs=1e-3)
+    assert orbits.polar_period_and_area(params, level, seed, 2048) is None
+    tau, _, _ = orbits.planar_period_and_area(params, level, seed)
+    assert tau > 2 * np.pi
+
+
 def test_claim_bound_on_base_orbit(params, trio):
     res = orbits.claim_hessian_period(params, trio[1].curve(512), 2 * np.pi)
     assert res["h_sup"] >= 1.0
@@ -315,6 +390,17 @@ def test_claim_bound_on_planar_loop(params):
     tau, _, loop = orbits.planar_period_and_area(params, level, seed)
     res = orbits.claim_hessian_period(params, loop, tau)
     assert res["pass"]
+
+
+def test_claim_planar_norm_is_the_spectral_norm(params):
+    """Oracle: the SVD norm of each planar Hessian along a loop."""
+    level = _scan_levels(params, 64)[10]
+    seeds = orbits.axis_level_seeds(params, level)
+    tau, _, loop = orbits.planar_period_and_area(params, level, seeds[0])
+    res = orbits.claim_hessian_period(params, loop, tau)
+    hess = model.h2_hess(params, loop[:, 0], loop[:, 1])
+    want = np.max(np.linalg.norm(hess, ord=2, axis=(-2, -1)))
+    assert res["h_sup"] == pytest.approx(want, rel=1e-14)
 
 
 def test_claim_rejects_constant_loop(params):
