@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .errors import NotHyperbolic, ReebLabError, StructureMismatch
+from .errors import ReebLabError, StructureMismatch
 from . import czindex, knots, leaves, model, orbits, spectrum, svgplot
 from .model import HamiltonianParams
 
@@ -422,24 +422,23 @@ def _cmd_homoclinic(cfg, out: Path, args):
 def _cmd_plot(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     targets = set(args.targets)
-    # the planar figures share one tracing of the level curves and one
-    # separatrix.  A non-hyperbolic preset has none: plot_levels draws
-    # without it, and the separatrix target asks for it again, so that the
-    # NotHyperbolic naming the origin ends the run
+    # the separatrix is traced only over a valid structure: at an invalid
+    # one the origin is no saddle (paper-figure) or a branch need not
+    # return (eps = 2).  plot_levels then draws none, and the atlas and
+    # separatrix targets name the structure before anything is traced
+    structure = orbits.structure_of(p)
+    if not structure.ok and targets & {"atlas", "separatrix"}:
+        raise StructureMismatch("; ".join(structure.anomalies))
     curves = separatrix = None
     if targets & {"levels", "atlas"}:
         curves = svgplot.level_curves(p)
-    if targets & {"levels", "atlas", "separatrix"}:
-        try:
-            separatrix = orbits.separatrix_and_homoclinics(p)
-        except NotHyperbolic:
-            pass
+    if structure.ok and targets & {"levels", "atlas", "separatrix"}:
+        separatrix = orbits.separatrix_and_homoclinics(p)
     plots = {
         "levels": lambda: svgplot.plot_levels(p, curves, separatrix),
         "atlas": lambda: svgplot.plot_atlas(
             p, leaves.foliation_atlas(p, separatrix), curves),
-        "separatrix": lambda: svgplot.plot_separatrix(
-            p, separatrix or orbits.separatrix_and_homoclinics(p)),
+        "separatrix": lambda: svgplot.plot_separatrix(p, separatrix),
         "orbit3d-projection": lambda: svgplot.plot_orbit_projection(
             p, seed=cfg.seed),
     }

@@ -112,8 +112,8 @@ def plot_levels(p: HamiltonianParams, curves, separatrix) -> str:
     """Level curves of the planar factor with the critical points.
 
     `curves` comes from level_curves and `separatrix` from
-    orbits.separatrix_and_homoclinics; a non-hyperbolic preset has no
-    separatrix, and passes None to draw none.
+    orbits.separatrix_and_homoclinics; an invalid structure has no
+    separatrix traced, and passes None to draw none.
     """
     e = p.epsilon
     box = (-1.2 * e * 3, 1.2 * e * 3.4, -1.8 * e * 2, 1.8 * e * 2)

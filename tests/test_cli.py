@@ -353,15 +353,8 @@ def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("command", [
-    ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
-    ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
-    ["homoclinic"]])
-def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
-                                                       monkeypatch, command):
-    """At eps = 2 the axis point x = 1 lies above the energy cap: each leaf
-    and the homoclinic name that structure, and integrate neither a leaf
-    profile nor a separatrix branch first."""
+def _count_integrations(monkeypatch):
+    """Record each separatrix branch and leaf profile integrated."""
     calls = []
 
     def counted(name, fn):
@@ -374,10 +367,36 @@ def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
                         counted("branch", orbits._trace_branch))
     monkeypatch.setattr(leaves, "integrate_profile",
                         counted("profile", leaves.integrate_profile))
+    return calls
+
+
+@pytest.mark.parametrize("command", [
+    ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
+    ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
+    ["homoclinic"], ["plot", "--targets", "separatrix"],
+    ["plot", "--targets", "levels", "atlas"]])
+def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
+                                                       monkeypatch, command):
+    """At eps = 2 the axis point x = 1 lies above the energy cap: each leaf,
+    the homoclinic and the atlas and separatrix figures name that
+    structure, and integrate neither a leaf profile nor a separatrix branch
+    first."""
+    calls = _count_integrations(monkeypatch)
     assert main(["--out", str(tmp_path), "--epsilon", "2", *command]) == 1
     assert capsys.readouterr().err.startswith(
         "error: StructureMismatch: axis point x = 1 has H2 = 1.16667 >= 1/2")
     assert calls == []
+
+
+@pytest.mark.parametrize("epsilon, branches", [("2", 0), ("0.5", 2)])
+def test_level_figure_traces_the_separatrix_of_a_valid_structure_only(
+        tmp_path, monkeypatch, epsilon, branches):
+    """The level figure is drawn at eps = 2 too, without tracing a branch
+    the invalid structure gives no reason to return."""
+    calls = _count_integrations(monkeypatch)
+    assert main(["--out", str(tmp_path), "--epsilon", epsilon, "plot",
+                 "--targets", "levels"]) == 0
+    assert calls == ["branch"] * branches
 
 
 def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,

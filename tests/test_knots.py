@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from reeblab import knots, model, orbits
 from reeblab.errors import (
@@ -8,6 +11,86 @@ from reeblab.errors import (
     RoundingUnsafe,
     VanishingSection,
 )
+
+
+def _gauss_linking_full(c1, c2):
+    """Reference quadrature: the Gauss integrand over all point pairs at
+    once, with per-pair cross products."""
+    t1 = 0.5 * (np.roll(c1, -1, axis=0) - np.roll(c1, 1, axis=0))
+    t2 = 0.5 * (np.roll(c2, -1, axis=0) - np.roll(c2, 1, axis=0))
+    diff = c1[:, None, :] - c2[None, :, :]
+    dist = np.linalg.norm(diff, axis=-1)
+    np.maximum(dist, 1e-9, out=dist)
+    cross = np.cross(t1[:, None, :], t2[None, :, :])
+    integrand = np.einsum("ijk,ijk->ij", diff, cross) / dist**3
+    return float(np.sum(integrand) / (4.0 * np.pi))
+
+
+def _pushed(params, orbit, n):
+    curve = knots.orbit_curve(orbit, n)
+    xbar1, _ = model.frame_sections(params, curve.samples)
+    return curve, knots.pushoff(params, curve, xbar1)
+
+
+@pytest.mark.parametrize("first, second, n", [
+    ("P1", "P2", 1024), ("P1", "P3", 1024), ("P2", "P3", 1024),
+    ("P1", "push", 1024), ("P2", "push", 1024), ("P3", "push", 1024),
+    ("P2", "push", 1000), ("hopf", "hopf", 512), ("hopf", "hopf", 1024)])
+def test_blocked_linking_matches_full_quadrature(params, trio, first, second,
+                                                 n):
+    """The row-blocked kernel agrees with the all-pairs quadrature, on
+    n = 1000 too, whose last block is short."""
+    orbit = {o.label: o for o in trio}
+    if first == "hopf":
+        curves = knots.hopf_circles(n)
+    elif second == "push":
+        curves = _pushed(params, orbit[first], n)
+    else:
+        curves = (knots.orbit_curve(orbit[first], n),
+                  knots.orbit_curve(orbit[second], n))
+    _, (p1, p2) = knots.stereographic_project(curves)
+    assert abs(knots.gauss_linking_r3(p1, p2)
+               - _gauss_linking_full(p1, p2)) <= 1e-12
+
+
+def test_linking_memory_is_bounded_by_the_block(params, trio):
+    """One n = 1024 linking call and one push-off stay far below the
+    n^2 temporaries of an all-pairs evaluation (about 84 MB and 40 MB)."""
+    curve, pushed = _pushed(params, trio[1], 1024)
+    _, (p1, p2) = knots.stereographic_project([curve, pushed])
+    xbar1, _ = model.frame_sections(params, curve.samples)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        knots.gauss_linking_r3(p1, p2)
+        linking_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        knots.pushoff(params, curve, xbar1)
+        pushoff_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert linking_peak < 16 * 2**20
+    assert pushoff_peak < 4 * 2**20
+
+
+def _dense_clearance(pushed, samples):
+    return np.min(np.linalg.norm(pushed[:, None, :] - samples[None, :, :],
+                                 axis=-1))
+
+
+def test_pushoff_clearance_is_the_dense_minimum(params, trio):
+    curve = knots.orbit_curve(trio[1], 1024)
+    xbar1, _ = model.frame_sections(params, curve.samples)
+    pushed = knots.pushoff(params, curve, xbar1).samples
+    dense = _dense_clearance(pushed, curve.samples)
+    tree = np.min(cKDTree(curve.samples).query(pushed)[0])
+    assert abs(tree - dense) <= 1e-15 * dense
+    # a push-off too small to clear the curve reports the dense minimum
+    unit = xbar1 / np.linalg.norm(xbar1, axis=-1, keepdims=True)
+    near = model.surface_project(params, curve.samples + 1e-8 * unit)
+    dense = _dense_clearance(near, curve.samples)
+    with pytest.raises(OffsetTooLarge, match=f"within {dense:g} of"):
+        knots.pushoff(params, curve, xbar1, offset=1e-8)
 
 
 def test_hopf_circles_link_once():
@@ -25,11 +108,14 @@ def test_orientation_reversal_negates():
     assert raw_r == pytest.approx(-raw_f, abs=1e-12)
 
 
-def test_symmetry_of_raw_values():
+def test_symmetry_of_raw_values(trio):
     c1, c2 = knots.hopf_circles(512)
-    raw_a, _ = knots.gauss_linking(c1, c2)
-    raw_b, _ = knots.gauss_linking(c2, c1)
+    raw_a, lk_a = knots.gauss_linking(c1, c2)
+    raw_b, lk_b = knots.gauss_linking(c2, c1)
     assert raw_a == pytest.approx(raw_b, abs=1e-9)
+    assert lk_a == lk_b == 1
+    ca, cb = knots.orbit_curve(trio[0]), knots.orbit_curve(trio[2])
+    assert knots.gauss_linking(ca, cb)[1] == knots.gauss_linking(cb, ca)[1]
 
 
 def test_binding_orbits_pairwise_unlinked(params, trio):

@@ -460,6 +460,27 @@ def test_stable_direction_backward_gives_same_branches(params, separatrix):
     assert np.allclose(got, expected, atol=1e-7)
 
 
+def test_branch_that_does_not_return_stops_at_the_saddle_horizon(
+        monkeypatch):
+    """At eps = 1.2 the outer branch does not come back to the saddle: it is
+    given up at twice (2 / mu) ln(1 / 1e-6), not at a fixed time."""
+    p = HamiltonianParams.from_preset("validated", 1.2)
+    _, _, mu = orbits.saddle_eigendirections(p)
+    calls = []
+    traced = orbits._trace_branch
+
+    def counted(*args):
+        calls.append(args)
+        return traced(*args)
+
+    monkeypatch.setattr(orbits, "_trace_branch", counted)
+    with pytest.raises(NoReturn) as info:
+        orbits.separatrix_and_homoclinics(p)
+    assert len(calls) == 2
+    assert info.value.elapsed == pytest.approx(
+        4.0 / mu * np.log(1e6), rel=1e-12)
+
+
 def test_homoclinic_stays_on_surface(separatrix):
     _, traj, _ = separatrix
     assert traj.energy_drift < 1e-9
