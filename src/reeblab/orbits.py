@@ -754,9 +754,16 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
 
     The branches gamma1 (inner loop) and gamma2 (outer loop) are launched
     1e-6 along the unstable eigendirection; the homoclinic is the Reeb-flow
-    trajectory over the launch point, integrated both time directions for
-    Reeb time 50, with end distances to the hyperbolic binding orbit
-    reported.
+    trajectory through the apex of gamma1, over Reeb time -50 ... 50, with
+    end distances to the hyperbolic binding orbit reported.
+
+    Only the forward leg is integrated.  H2 is even in y2, so the Reeb flow
+    is reversible: R(x1, y1, x2, y2) = (x1, -y1, x2, -y2) maps the orbit
+    through z at time t to the orbit through R z at time -t (Devaney, Trans.
+    AMS 218, 1976).  The apex is fixed by R, so the backward leg is R applied
+    to the forward one.  scipy's step control is sign-symmetric, so this
+    reproduces the integrated backward leg bit for bit (scipy 1.17); the
+    tests keep that integration as the oracle.
     """
     v_unst, _, mu = saddle_eigendirections(p)
 
@@ -793,19 +800,19 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
     horizon = 50.0
     fwd, _ = model.integrate_flow(p, z0, horizon, tol=1e-13, n_samples=800,
                                   method="DOP853")
-    bwd, _ = model.integrate_flow(p, z0, -horizon, tol=1e-13, n_samples=800,
-                                  method="DOP853")
-    states = np.vstack([bwd.states[::-1], fwd.states[1:]])
-    ts = np.concatenate([bwd.t[::-1], fwd.t[1:]])
-    traj = Trajectory(t=ts, states=states,
-                      energy_drift=max(fwd.energy_drift, bwd.energy_drift))
+    # the backward leg, reversed and without its t = 0 sample, which is
+    # taken from fwd so the apex row keeps +0 in y1 and y2
+    bwd_states = fwd.states[:0:-1] * np.array([1.0, -1.0, 1.0, -1.0])
+    states = np.vstack([bwd_states, fwd.states])
+    ts = np.concatenate([-fwd.t[:0:-1], fwd.t])
+    traj = Trajectory(t=ts, states=states, energy_drift=fwd.energy_drift)
     orbit_p2 = ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
                          reeb_period=float(np.pi))
     report = {
         "end_distance_forward": float(distance_to_orbit_set(
             orbit_p2, fwd.states[-1][None, :])[0]),
         "end_distance_backward": float(distance_to_orbit_set(
-            orbit_p2, bwd.states[-1][None, :])[0]),
+            orbit_p2, bwd_states[0][None, :])[0]),
         "horizon": horizon,
     }
     return (gamma1, gamma2), traj, report

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import reeblab
-from reeblab import leaves, orbits
+from reeblab import leaves, model, orbits
 from reeblab.cli import main
 from reeblab.config import RunConfig
 from reeblab.errors import NoReturn
@@ -192,6 +192,10 @@ def test_homoclinic_csv_exports(tmp_path):
     assert rows.shape == (1599, 6)
     assert np.all(np.diff(rows[:, 0]) > 0)
     assert np.max(np.abs(rows[:, 5] - 0.5)) < 1e-9
+    # the apex row is the forward leg's t = 0 sample, not its mirror image,
+    # so no sign flip writes -0
+    assert lines[800].startswith("0,")
+    assert "-0" not in {field for line in lines[1:] for field in line.split(",")}
     assert (tmp_path / "separatrix_gamma1.csv").read_text().startswith("x2,y2")
     assert (tmp_path / "separatrix_gamma2.csv").exists()
 
@@ -354,7 +358,8 @@ def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
 
 
 def _count_integrations(monkeypatch):
-    """Record each separatrix branch and leaf profile integrated."""
+    """Record each separatrix branch, leaf profile and 4-D Reeb flow
+    integrated."""
     calls = []
 
     def counted(name, fn):
@@ -367,6 +372,8 @@ def _count_integrations(monkeypatch):
                         counted("branch", orbits._trace_branch))
     monkeypatch.setattr(leaves, "integrate_profile",
                         counted("profile", leaves.integrate_profile))
+    monkeypatch.setattr(model, "integrate_flow",
+                        counted("flow", model.integrate_flow))
     return calls
 
 
@@ -374,18 +381,32 @@ def _count_integrations(monkeypatch):
     ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
     ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
     ["homoclinic"], ["plot", "--targets", "separatrix"],
-    ["plot", "--targets", "levels", "atlas"]])
+    ["plot", "--targets", "levels", "atlas"], ["atlas"]])
 def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
                                                        monkeypatch, command):
-    """At eps = 2 the axis point x = 1 lies above the energy cap: each leaf,
-    the homoclinic and the atlas and separatrix figures name that
-    structure, and integrate neither a leaf profile nor a separatrix branch
-    first."""
+    """Under three invalid structures each leaf, the homoclinic, the atlas
+    and the atlas and separatrix figures name the structure, and integrate
+    neither a leaf profile, nor a separatrix branch, nor the 4-D flow
+    first.  At eps = 2 the axis point x = 1 lies above the energy cap; the
+    paper-figure preset has an elliptic origin; a radial H2 has a circle of
+    critical points."""
+    circle = tmp_path / "circle.json"
+    circle.write_text(json.dumps(
+        {"coefficients": {"a": 0, "b": 0, "c": -1, "d": -1}}))
+    structures = [
+        (["--epsilon", "2"],
+         "axis point x = 1 has H2 = 1.16667 >= 1/2"),
+        (["--preset", "paper-figure"],
+         "expected 3 critical points, found 5"),
+        (["--config", str(circle)],
+         "critical points fill the circle of centre (0, 0) and radius 0.5"),
+    ]
     calls = _count_integrations(monkeypatch)
-    assert main(["--out", str(tmp_path), "--epsilon", "2", *command]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: StructureMismatch: axis point x = 1 has H2 = 1.16667 >= 1/2")
-    assert calls == []
+    for options, anomaly in structures:
+        assert main(["--out", str(tmp_path), *options, *command]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: StructureMismatch: {anomaly}")
+        assert calls == []
 
 
 @pytest.mark.parametrize("epsilon, branches", [("2", 0), ("0.5", 2)])
@@ -396,7 +417,8 @@ def test_level_figure_traces_the_separatrix_of_a_valid_structure_only(
     calls = _count_integrations(monkeypatch)
     assert main(["--out", str(tmp_path), "--epsilon", epsilon, "plot",
                  "--targets", "levels"]) == 0
-    assert calls == ["branch"] * branches
+    # a traced separatrix is its two branches and one 4-D homoclinic leg
+    assert calls == ["branch"] * branches + ["flow"] * (branches // 2)
 
 
 def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,

@@ -481,6 +481,42 @@ def test_branch_that_does_not_return_stops_at_the_saddle_horizon(
         4.0 / mu * np.log(1e6), rel=1e-12)
 
 
+@pytest.mark.parametrize("p", [
+    HamiltonianParams.from_preset("validated", 0.3),
+    HamiltonianParams.from_preset("validated", 0.5),
+    HamiltonianParams.from_preset("validated", 0.6),
+    HamiltonianParams(epsilon=0.5, a=0.3, b=-0.7, c=-1.0, d=0.5),
+], ids=["eps0.3", "eps0.5", "eps0.6", "custom"])
+def test_backward_homoclinic_leg_is_the_integrated_one(p, monkeypatch):
+    """Oracle for the reversing symmetry: the backward half of the
+    homoclinic is the 4-D Reeb flow integrated from the apex for Reeb time
+    -50 with the settings of the forward leg, which is the only 4-D
+    integration a separatrix call makes."""
+    calls = []
+    integrate = model.integrate_flow
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(model, "integrate_flow", counted)
+    _, traj, report = orbits.separatrix_and_homoclinics(p)
+    assert calls == [report["horizon"]]
+    apex = len(traj.t) // 2
+    assert traj.t[apex] == 0.0
+    bwd, _ = integrate(p, traj.states[apex], -report["horizon"], tol=1e-13,
+                       n_samples=apex + 1, method="DOP853")
+    assert np.max(np.abs(traj.states[apex::-1] - bwd.states)) <= 1e-12
+    assert np.array_equal(traj.t[apex::-1], bwd.t)
+    assert np.array_equal(traj.t[apex::-1], -traj.t[apex:])
+    assert report["end_distance_backward"] == report["end_distance_forward"]
+    end = orbits.distance_to_orbit_set(
+        orbits.ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
+                         reeb_period=float(np.pi)), bwd.states[-1])[0]
+    assert report["end_distance_backward"] == pytest.approx(end, abs=1e-12)
+    assert traj.energy_drift == pytest.approx(bwd.energy_drift, abs=1e-12)
+
+
 def test_homoclinic_stays_on_surface(separatrix):
     _, traj, _ = separatrix
     assert traj.energy_drift < 1e-9
