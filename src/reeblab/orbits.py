@@ -13,7 +13,7 @@ circle is the homoclinic set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -102,7 +102,7 @@ class SeparatrixBranch:
     branch_id: str  # 'gamma1' | 'gamma2'
     samples: np.ndarray  # planar points on the zero level of H2
     enclosed_area: float
-    axis_crossings: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    axis_crossings: np.ndarray  # the apex, its one crossing of y = 0
 
 
 # ---------------------------------------------------------------------------
@@ -393,11 +393,16 @@ def planar_period_and_area(
         lo = hi
     if lo < n_loop:
         loop[lo:] = pieces[-1].sol(ts[lo:]).T
-    # area = 1/2 of the loop integral of x dy - y dx with the exact velocity
-    # (-P, Q); the trapezoid rule on the periodic samples is spectral
+    return tau, _loop_area(p, loop, tau), loop
+
+
+def _loop_area(p: HamiltonianParams, loop: np.ndarray, tau: float) -> float:
+    """Signed area enclosed by a closed orbit of H2 sampled at len(loop)
+    equal time steps from t = 0 over one traversal of duration tau: half
+    the loop integral of x dy - y dx with the exact velocity (-P, Q).  The
+    trapezoid rule on the periodic samples is spectral."""
     q, pp = model.h2_grad(p, loop[:, 0], loop[:, 1])
-    area = float(np.mean(0.5 * (loop[:, 0] * q + loop[:, 1] * pp)) * tau)
-    return tau, area, loop
+    return float(np.mean(0.5 * (loop[:, 0] * q + loop[:, 1] * pp)) * tau)
 
 
 def _polish_radii(p: HamiltonianParams, level: float, z0, c, s, r):
@@ -696,47 +701,40 @@ def saddle_eigendirections(p: HamiltonianParams):
 
 
 def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
-    # launched offset from the saddle; the return approach reaches the
-    # detection radius only if the level drift over the excursion stays
-    # well below offset^2, hence the tight tolerances here
+    """Samples, axis crossing and enclosed area of the separatrix branch
+    leaving the saddle 1e-6 along `direction`.
+
+    H2 is even in y, so R(x, y) = (x, -y) reverses the planar flow.  A
+    branch that leaves the saddle and meets Fix(R), the axis y = 0, at time
+    t_apex is R-symmetric about it: z(t_apex + u) = R z(t_apex - u).  So
+    only the half up to the axis is integrated, and the rest is its mirror
+    image, which comes back to the saddle at 2 t_apex.  Raises NoReturn
+    when the branch does not meet the axis within the horizon.
+    """
     offset = 1e-6
     # leaving the saddle from offset and coming back to it each take about
-    # (1 / mu) ln(1 / offset) at the saddle rate mu.  Branches that return
-    # do so within 0.99-1.08 times the sum over eps = 0.5 ... 1.5 (155.6 and
-    # 156.7 against 156.3 at eps = 0.5); twice the sum is the horizon
+    # (1 / mu) ln(1 / offset) at the saddle rate mu, and the apex lies
+    # halfway: 0.50-0.54 times the sum over eps = 0.5 ... 1.5 (77.8 against
+    # 156.3 at eps = 0.5).  Twice the sum is the horizon
     horizon = 2.0 * (2.0 / mu) * np.log(1.0 / offset)
-    rhs = planar_rhs(p)
-    z0 = offset * direction
-    # detection radius a hair inside the launch radius so the event function
-    # is positive at the start
-    radius = offset * (1.0 - 1e-9)
-
-    def back_home(t, z):
-        return np.hypot(z[0], z[1]) - radius
-
-    back_home.terminal = True
-    back_home.direction = -1.0
 
     def x_axis(t, z):
         return z[1]
 
-    sol = solve_ivp(rhs, (0.0, horizon), z0, method="DOP853",
-                    rtol=1e-13, atol=1e-16,
-                    events=[back_home, x_axis], dense_output=True)
+    x_axis.terminal = True
+    sol = solve_ivp(planar_rhs(p), (0.0, horizon), offset * direction,
+                    method="DOP853", rtol=1e-13, atol=1e-16,
+                    events=x_axis, dense_output=True)
     if not len(sol.t_events[0]):
-        raise NoReturn("separatrix branch did not return to the saddle "
+        raise NoReturn("separatrix branch did not meet the axis y = 0 "
                        f"within time {sol.t[-1]:g}", elapsed=float(sol.t[-1]))
-    t_end = float(sol.t_events[0][0])
-    ts = np.linspace(0.0, t_end, 4001)
-    samples = sol.sol(ts).T
-    crossings = np.array(
-        [sol.sol(te)[0] for te in sol.t_events[1] if 0.0 < te < t_end]
-    )
-    closed = np.vstack([[0.0, 0.0], samples, [0.0, 0.0]])
-    area = 0.5 * float(np.sum(
-        closed[:-1, 0] * closed[1:, 1] - closed[1:, 0] * closed[:-1, 1]
-    ))
-    return samples, crossings, area
+    t_apex = float(sol.t_events[0][0])
+    half = sol.sol(np.linspace(0.0, t_apex, 2001)).T
+    samples = np.vstack([half, half[-2::-1] * np.array([1.0, -1.0])])
+    # the last sample closes the loop at the saddle; the periodic rule
+    # counts it once, as the first
+    area = _loop_area(p, samples[:-1], 2.0 * t_apex)
+    return samples, float(half[-1, 0]), area
 
 
 def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
@@ -753,9 +751,10 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
     product homoclinic trajectory with its convergence report.
 
     The branches gamma1 (inner loop) and gamma2 (outer loop) are launched
-    1e-6 along the unstable eigendirection; the homoclinic is the Reeb-flow
-    trajectory through the apex of gamma1, over Reeb time -50 ... 50, with
-    end distances to the hyperbolic binding orbit reported.
+    1e-6 along the unstable eigendirection, integrated to their apex on the
+    axis and closed by the planar reversing symmetry; the homoclinic is the
+    Reeb-flow trajectory through the apex of gamma1, over Reeb time
+    -50 ... 50, with end distances to the hyperbolic binding orbit reported.
 
     Only the forward leg is integrated.  H2 is even in y2, so the Reeb flow
     is reversible: R(x1, y1, x2, y2) = (x1, -y1, x2, -y2) maps the orbit
@@ -766,33 +765,16 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
     tests keep that integration as the oracle.
     """
     v_unst, _, mu = saddle_eigendirections(p)
-
-    branches = {}
-    for sign in (+1.0, -1.0):
-        samples, crossings, area = _trace_branch(p, sign * v_unst, mu)
-        pos = crossings[crossings > 1e-6]
-        key = float(np.min(pos)) if len(pos) else np.inf
-        branches[sign] = (samples, crossings, area, key)
-    # gamma1 is the branch with the smaller positive-axis crossing
-    if branches[+1.0][3] <= branches[-1.0][3]:
-        inner_sign, outer_sign = +1.0, -1.0
-    else:
-        inner_sign, outer_sign = -1.0, +1.0
-
-    def mk(branch_id, sign):
-        samples, crossings, area, _ = branches[sign]
-        return SeparatrixBranch(
-            branch_id=branch_id,
-            samples=samples,
-            enclosed_area=area,
-            axis_crossings=np.sort(crossings[crossings > 1e-6]),
-        )
-
-    gamma1 = mk("gamma1", inner_sign)
-    gamma2 = mk("gamma2", outer_sign)
+    # gamma1 is the branch whose apex lies nearer the saddle
+    branches = sorted((_trace_branch(p, sign * v_unst, mu)
+                       for sign in (+1.0, -1.0)), key=lambda b: abs(b[1]))
+    gamma1, gamma2 = (
+        SeparatrixBranch(branch_id=f"gamma{k}", samples=samples,
+                         enclosed_area=area, axis_crossings=np.array([x]))
+        for k, (samples, x, area) in enumerate(branches, start=1))
 
     # product homoclinic in the full phase space, parametrized from the
-    # symmetric apex of the inner loop (its positive-axis crossing) so both
+    # symmetric apex of the inner loop (its axis crossing) so both
     # time directions are pure decay legs toward the hyperbolic orbit
     x_apex = float(gamma1.axis_crossings[0])
     r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, x_apex, 0.0)))

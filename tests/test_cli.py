@@ -377,23 +377,15 @@ def _count_integrations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("command", [
-    ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
-    ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
-    ["homoclinic"], ["plot", "--targets", "separatrix"],
-    ["plot", "--targets", "levels", "atlas"], ["atlas"]])
-def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
-                                                       monkeypatch, command):
-    """Under three invalid structures each leaf, the homoclinic, the atlas
-    and the atlas and separatrix figures name the structure, and integrate
-    neither a leaf profile, nor a separatrix branch, nor the 4-D flow
-    first.  At eps = 2 the axis point x = 1 lies above the energy cap; the
-    paper-figure preset has an elliptic origin; a radial H2 has a circle of
-    critical points."""
+def _invalid_structures(tmp_path):
+    """Options selecting three invalid structures, each with the start of
+    its first anomaly.  At eps = 2 the axis point x = 1 lies above the
+    energy cap; the paper-figure preset has an elliptic origin; a radial H2
+    has a circle of critical points."""
     circle = tmp_path / "circle.json"
     circle.write_text(json.dumps(
         {"coefficients": {"a": 0, "b": 0, "c": -1, "d": -1}}))
-    structures = [
+    return [
         (["--epsilon", "2"],
          "axis point x = 1 has H2 = 1.16667 >= 1/2"),
         (["--preset", "paper-figure"],
@@ -401,8 +393,39 @@ def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
         (["--config", str(circle)],
          "critical points fill the circle of centre (0, 0) and radius 0.5"),
     ]
+
+
+@pytest.mark.parametrize("command, anomalies", [
+    ("validate", lambda report: report["structure"]["anomalies"]),
+    ("orbits", lambda report: report["anomalies"])],
+    ids=["validate", "orbits"])
+def test_invalid_structure_is_reported_without_integrating(
+        tmp_path, monkeypatch, command, anomalies):
+    """validate and orbits report an invalid structure, and exit 0 without
+    integrating a leaf profile, a separatrix branch or the 4-D flow."""
     calls = _count_integrations(monkeypatch)
-    for options, anomaly in structures:
+    for options, anomaly in _invalid_structures(tmp_path):
+        assert main(["--out", str(tmp_path), *options, command]) == 0
+        report = json.loads((tmp_path / f"{command}.json").read_text())
+        assert any(a.startswith(anomaly) for a in anomalies(report))
+        assert calls == []
+
+
+@pytest.mark.parametrize("command", [
+    ["leaf", "--which", "disk_to_P2"], ["leaf", "--which", "plane_to_P3"],
+    ["leaf", "--which", "cyl_P3_P1"], ["leaf", "--which", "cyl_P2_P1"],
+    ["homoclinic"], ["plot", "--targets", "separatrix"],
+    ["plot", "--targets", "levels", "atlas"], ["atlas"],
+    ["cz", "--orbit", "P1"], ["spectrum", "--orbit", "P1"],
+    ["link", "--pair", "P1,P3", "--self", "P2"], ["scan"]])
+def test_invalid_structure_is_named_before_integrating(tmp_path, capsys,
+                                                       monkeypatch, command):
+    """Under three invalid structures each leaf, the homoclinic, the atlas,
+    the atlas and separatrix figures, cz, spectrum, link and scan name the
+    structure, and integrate neither a leaf profile, nor a separatrix
+    branch, nor the 4-D flow first."""
+    calls = _count_integrations(monkeypatch)
+    for options, anomaly in _invalid_structures(tmp_path):
         assert main(["--out", str(tmp_path), *options, *command]) == 1
         assert capsys.readouterr().err.startswith(
             f"error: StructureMismatch: {anomaly}")
@@ -423,18 +446,15 @@ def test_level_figure_traces_the_separatrix_of_a_valid_structure_only(
 
 def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,
                                                             monkeypatch):
-    """At eps = 1.2 the structure holds but T3 < 2 T1 fails: homoclinic
-    checks the structure only, so it goes on to trace the separatrix."""
-    calls = []
-
-    def stub(p):
-        calls.append(p.epsilon)
-        raise NoReturn("separatrix branch did not return", elapsed=0.0)
-
-    monkeypatch.setattr(orbits, "separatrix_and_homoclinics", stub)
+    """At eps = 1.2 the structure holds but T3 < 2 T1 fails: homoclinic and
+    the separatrix figure check the structure only, so they go on to trace
+    the separatrix, whose branches both close."""
+    calls = _count_integrations(monkeypatch)
     assert main(["--out", str(tmp_path), "--epsilon", "1.2",
-                 "homoclinic"]) == 1
-    assert calls == [1.2]
+                 "homoclinic"]) == 0
+    assert main(["--out", str(tmp_path), "--epsilon", "1.2", "plot",
+                 "--targets", "separatrix"]) == 0
+    assert calls == ["branch", "branch", "flow"] * 2
 
 
 def test_reports_identical_across_processes(tmp_path):

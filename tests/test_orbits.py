@@ -460,12 +460,55 @@ def test_stable_direction_backward_gives_same_branches(params, separatrix):
     assert np.allclose(got, expected, atol=1e-7)
 
 
-def test_branch_that_does_not_return_stops_at_the_saddle_horizon(
+@pytest.mark.parametrize("eps", [0.8, 1.2])
+def test_branches_meet_the_axis_at_the_quadratic_roots(eps, monkeypatch):
+    """Where the structure holds, both branches close, up to eps = 1.2: the
+    axis crossings are eps (5 -+ sqrt 7) / 3, the nonzero roots of H2(x, 0)
+    for a = -5/3, c = 1."""
+    p = HamiltonianParams.from_preset("validated", eps)
+    calls = []
+    traced = orbits._trace_branch
+
+    def counted(*args):
+        calls.append(args)
+        return traced(*args)
+
+    monkeypatch.setattr(orbits, "_trace_branch", counted)
+    (g1, g2), _, _ = orbits.separatrix_and_homoclinics(p)
+    assert len(calls) == 2
+    assert g1.axis_crossings[0] == pytest.approx(
+        eps * (5.0 - np.sqrt(7.0)) / 3.0, abs=1e-8)
+    assert g2.axis_crossings[0] == pytest.approx(
+        eps * (5.0 + np.sqrt(7.0)) / 3.0, abs=1e-8)
+
+
+def test_branch_that_never_meets_the_axis_stops_at_the_saddle_horizon(
         monkeypatch):
-    """At eps = 1.2 the outer branch does not come back to the saddle: it is
-    given up at twice (2 / mu) ln(1 / 1e-6), not at a fixed time."""
-    p = HamiltonianParams.from_preset("validated", 1.2)
-    _, _, mu = orbits.saddle_eigendirections(p)
+    """With a = 1, b = -1, c = 1, d = -2 the branches circle the off-axis
+    wells at (0.148, +-0.743), one each, and never meet the axis: the first
+    branch is given up at twice (2 / mu) ln(1 / 1e-6)."""
+    p = HamiltonianParams(epsilon=0.5, a=1.0, b=-1.0, c=1.0, d=-2.0)
+    wells = [cp.location for cp in orbits.structure_of(p).points
+             if cp.location[1] != 0.0]
+    assert np.allclose(sorted(wells, key=lambda w: w[1]),
+                       [[0.148, -0.743], [0.148, 0.743]], atol=1e-3)
+    v_unst, _, mu = orbits.saddle_eigendirections(p)
+    horizon = 4.0 / mu * np.log(1e6)
+    from scipy.integrate import solve_ivp
+
+    for sign in (+1.0, -1.0):
+        sol = solve_ivp(orbits.planar_rhs(p), (0.0, horizon),
+                        sign * 1e-6 * v_unst, method="DOP853", rtol=1e-13,
+                        atol=1e-16, dense_output=True)
+        z = sol.sol(np.linspace(0.0, horizon, 20001)).T
+        # the branch keeps to one side of the axis and circles that
+        # side's well
+        assert np.all(z[:, 1] * z[0, 1] > 0.0)
+        for w in wells:
+            turns = np.unwrap(np.arctan2(z[:, 1] - w[1], z[:, 0] - w[0]))
+            assert abs(turns[-1] - turns[0]) / (2.0 * np.pi) == \
+                pytest.approx(2.0 if w[1] * z[0, 1] > 0.0 else 0.0, abs=0.01)
+
     calls = []
     traced = orbits._trace_branch
 
@@ -476,9 +519,42 @@ def test_branch_that_does_not_return_stops_at_the_saddle_horizon(
     monkeypatch.setattr(orbits, "_trace_branch", counted)
     with pytest.raises(NoReturn) as info:
         orbits.separatrix_and_homoclinics(p)
-    assert len(calls) == 2
-    assert info.value.elapsed == pytest.approx(
-        4.0 / mu * np.log(1e6), rel=1e-12)
+    assert len(calls) == 1
+    assert info.value.elapsed == pytest.approx(horizon, rel=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.6])
+@pytest.mark.parametrize("sign", [+1.0, -1.0])
+def test_mirrored_branch_half_is_the_integrated_one(eps, sign):
+    """Oracle for the planar reversing symmetry: integrated on past its
+    apex, a branch comes back along the mirror image of its first half,
+    z(t_apex + u) = R z(t_apex - u), and its area is the Green's-theorem
+    integral of (x dy - y dx) / 2 carried along the ODE."""
+    from scipy.integrate import solve_ivp
+
+    p = HamiltonianParams.from_preset("validated", eps)
+    v_unst, _, mu = orbits.saddle_eigendirections(p)
+    samples, x_apex, area = orbits._trace_branch(p, sign * v_unst, mu)
+    rhs = orbits.planar_rhs(p)
+
+    def x_axis(t, z):
+        return z[1]
+
+    z0 = sign * 1e-6 * v_unst
+    sol = solve_ivp(rhs, (0.0, 4.0 / mu * np.log(1e6)), z0, method="DOP853",
+                    rtol=1e-13, atol=1e-16, events=x_axis, dense_output=True)
+    t_apex = sol.t_events[0][0]
+    assert sol.sol(t_apex)[0] == x_apex
+    full = sol.sol(np.linspace(0.0, 2.0 * t_apex, 4001)).T
+    assert np.max(np.abs(full - samples)) <= 1e-6
+
+    def green(t, z):
+        dx, dy = rhs(t, z[:2])
+        return dx, dy, 0.5 * (z[0] * dy - z[1] * dx)
+
+    aug = solve_ivp(green, (0.0, 2.0 * t_apex), [*z0, 0.0], method="DOP853",
+                    rtol=1e-13, atol=1e-16)
+    assert area == pytest.approx(aug.y[2, -1], rel=1e-10)
 
 
 @pytest.mark.parametrize("p", [
