@@ -389,7 +389,6 @@ def integrate_flow(
     with_variational: bool = False,
     tol: float = 1e-10,
     n_samples: int = 200,
-    method: str = "RK45",
 ):
     """Integrate the Reeb flow h*X_H from z0 for (signed) time T.
 
@@ -399,8 +398,6 @@ def integrate_flow(
         linearized flow along the same adaptive step sequence.
     tol : per-step error tolerance (both relative and absolute).
     n_samples : number of equally spaced output times on [0, T].
-    method : embedded adaptive Runge-Kutta pair; the default 'RK45' is the
-        5(4) pair, 'DOP853' trades more stages for tight tolerances.
 
     Returns
     -------
@@ -412,9 +409,9 @@ def integrate_flow(
     """
     z0 = np.asarray(z0, float)
     y0 = np.concatenate([z0, np.eye(4).ravel()]) if with_variational else z0
-    sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0,
-                    method=method, rtol=tol, atol=tol,
-                    t_eval=np.linspace(0.0, T, n_samples), dense_output=False)
+    sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0, rtol=tol,
+                    atol=tol, t_eval=np.linspace(0.0, T, n_samples),
+                    dense_output=False)
     if sol.status == -1:
         raise StepUnderflow(f"{sol.message} (at t = {sol.t[-1]:g})")
     states = sol.y[:4].T

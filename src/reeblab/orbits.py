@@ -24,6 +24,7 @@ from .errors import (
     NoReturn,
     NotClosed,
     NotHyperbolic,
+    NotStarShaped,
     StructureMismatch,
 )
 from . import model
@@ -702,7 +703,8 @@ def saddle_eigendirections(p: HamiltonianParams):
 
 def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
     """Samples, axis crossing and enclosed area of the separatrix branch
-    leaving the saddle 1e-6 along `direction`.
+    leaving the saddle 1e-6 along `direction`, with the dense output of its
+    integrated half and the time t_apex at which it meets the axis.
 
     H2 is even in y, so R(x, y) = (x, -y) reverses the planar flow.  A
     branch that leaves the saddle and meets Fix(R), the axis y = 0, at time
@@ -734,7 +736,7 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
     # the last sample closes the loop at the saddle; the periodic rule
     # counts it once, as the first
     area = _loop_area(p, samples[:-1], 2.0 * t_apex)
-    return samples, float(half[-1, 0]), area
+    return samples, float(half[-1, 0]), area, sol.sol, t_apex
 
 
 def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
@@ -753,16 +755,23 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
     The branches gamma1 (inner loop) and gamma2 (outer loop) are launched
     1e-6 along the unstable eigendirection, integrated to their apex on the
     axis and closed by the planar reversing symmetry; the homoclinic is the
-    Reeb-flow trajectory through the apex of gamma1, over Reeb time
-    -50 ... 50, with end distances to the hyperbolic binding orbit reported.
+    Reeb-flow trajectory through the apex of gamma1, with end distances to
+    the hyperbolic binding orbit reported.
 
-    Only the forward leg is integrated.  H2 is even in y2, so the Reeb flow
-    is reversible: R(x1, y1, x2, y2) = (x1, -y1, x2, -y2) maps the orbit
-    through z at time t to the orbit through R z at time -t (Devaney, Trans.
-    AMS 218, 1976).  The apex is fixed by R, so the backward leg is R applied
-    to the forward one.  scipy's step control is sign-symmetric, so this
-    reproduces the integrated backward leg bit for bit (scipy 1.17); the
-    tests keep that integration as the oracle.
+    No 4-D flow is integrated.  H = r^2 / 2 + H2 is split, so in
+    Hamiltonian time sigma the pair (x1, y1) = r (cos sigma, sin sigma)
+    turns at unit rate with r^2 = x1^2 + y1^2 fixed, while (x2, y2) runs the
+    planar flow of H2.  R(x, y) = (x, -y) reverses that flow, so from the
+    apex it runs gamma1's integrated half backward and mirrored:
+    w(sigma) = R z(t_apex - sigma), back to the launch point 1e-6 from the
+    saddle at sigma = t_apex.  The Reeb time is t(sigma), the integral of
+    lambda0(X_H) = s / 2 with s = r^2 + x2 Q + y2 P, by 8-node
+    Gauss-Legendre on each of the 799 sample intervals of the leg, and the
+    horizon is the Reeb time of the whole leg.  H2 is even in y2 too, so
+    the 4-D flow is reversible under R(x1, y1, x2, y2) = (x1, -y1, x2, -y2)
+    (Devaney, Trans. AMS 218, 1976); the apex is fixed by R, and the
+    backward leg is R applied to the forward one.  Raises NotStarShaped
+    where s <= 0 on the leg, at a sample or a quadrature node.
     """
     v_unst, _, mu = saddle_eigendirections(p)
     # gamma1 is the branch whose apex lies nearer the saddle
@@ -771,30 +780,49 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
     gamma1, gamma2 = (
         SeparatrixBranch(branch_id=f"gamma{k}", samples=samples,
                          enclosed_area=area, axis_crossings=np.array([x]))
-        for k, (samples, x, area) in enumerate(branches, start=1))
+        for k, (samples, x, area, _, _) in enumerate(branches, start=1))
 
     # product homoclinic in the full phase space, parametrized from the
     # symmetric apex of the inner loop (its axis crossing) so both
     # time directions are pure decay legs toward the hyperbolic orbit
-    x_apex = float(gamma1.axis_crossings[0])
+    _, x_apex, _, half, t_apex = branches[0]
     r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, x_apex, 0.0)))
-    z0 = np.array([r, 0.0, x_apex, 0.0])
-    horizon = 50.0
-    fwd, _ = model.integrate_flow(p, z0, horizon, tol=1e-13, n_samples=800,
-                                  method="DOP853")
+
+    def leg(sigma):
+        x2, y2 = half(t_apex - sigma)
+        return np.column_stack([r * np.cos(sigma), r * np.sin(sigma), x2, -y2])
+
+    sigma = np.linspace(0.0, t_apex, 800)
+    fwd_states = leg(sigma)
+    # the dense output leaves y2 at rounding level at the apex, whose row
+    # is exactly (r, 0, x_apex, 0), with +0
+    fwd_states[0] = (r, 0.0, x_apex, 0.0)
+    nodes, weights = np.polynomial.legendre.leggauss(8)
+    step = np.diff(sigma)
+    sigma_nodes = sigma[:-1, None] + 0.5 * step[:, None] * (1.0 + nodes)
+    s_nodes = model.star_quantity(p, leg(sigma_nodes.ravel()))
+    s_min = min(np.min(s_nodes), np.min(model.star_quantity(p, fwd_states)))
+    if s_min <= 0.0:
+        raise NotStarShaped(f"lambda0(X_H) <= 0 (min value {s_min / 2.0:g})")
+    # Reeb time: dt / dsigma = lambda0(X_H) = s / 2
+    t = np.concatenate([[0.0], np.cumsum(
+        0.5 * step * (s_nodes.reshape(-1, 8) @ weights) / 2.0)])
+    h, _, _ = model.hamiltonian_eval(p, fwd_states)
     # the backward leg, reversed and without its t = 0 sample, which is
-    # taken from fwd so the apex row keeps +0 in y1 and y2
-    bwd_states = fwd.states[:0:-1] * np.array([1.0, -1.0, 1.0, -1.0])
-    states = np.vstack([bwd_states, fwd.states])
-    ts = np.concatenate([-fwd.t[:0:-1], fwd.t])
-    traj = Trajectory(t=ts, states=states, energy_drift=fwd.energy_drift)
+    # taken from the forward leg so the apex row keeps +0 in y1 and y2
+    bwd_states = fwd_states[:0:-1] * np.array([1.0, -1.0, 1.0, -1.0])
+    states = np.vstack([bwd_states, fwd_states])
+    ts = np.concatenate([-t[:0:-1], t])
+    traj = Trajectory(t=ts, states=states,
+                      energy_drift=float(np.max(np.abs(h - h[0]))))
     orbit_p2 = ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
                          reeb_period=float(np.pi))
     report = {
         "end_distance_forward": float(distance_to_orbit_set(
-            orbit_p2, fwd.states[-1][None, :])[0]),
+            orbit_p2, fwd_states[-1][None, :])[0]),
         "end_distance_backward": float(distance_to_orbit_set(
             orbit_p2, bwd_states[0][None, :])[0]),
-        "horizon": horizon,
+        "horizon": float(t[-1]),
     }
     return (gamma1, gamma2), traj, report
+

@@ -359,7 +359,8 @@ def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
 
 def _count_integrations(monkeypatch):
     """Record each separatrix branch, leaf profile and 4-D Reeb flow
-    integrated."""
+    integrated.  A traced separatrix is its two planar branches alone: the
+    homoclinic is built from gamma1 without integrating the 4-D flow."""
     calls = []
 
     def counted(name, fn):
@@ -440,8 +441,8 @@ def test_level_figure_traces_the_separatrix_of_a_valid_structure_only(
     calls = _count_integrations(monkeypatch)
     assert main(["--out", str(tmp_path), "--epsilon", epsilon, "plot",
                  "--targets", "levels"]) == 0
-    # a traced separatrix is its two branches and one 4-D homoclinic leg
-    assert calls == ["branch"] * branches + ["flow"] * (branches // 2)
+    # a traced separatrix is its two planar branches, and no 4-D flow
+    assert calls == ["branch"] * branches
 
 
 def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,
@@ -454,7 +455,18 @@ def test_homoclinic_of_a_failed_period_chain_is_still_traced(tmp_path,
                  "homoclinic"]) == 0
     assert main(["--out", str(tmp_path), "--epsilon", "1.2", "plot",
                  "--targets", "separatrix"]) == 0
-    assert calls == ["branch", "branch", "flow"] * 2
+    assert calls == ["branch", "branch"] * 2
+
+
+def test_homoclinic_outside_the_star_shaped_region_is_an_error(tmp_path,
+                                                              capsys):
+    """At eps = 1.5 gamma1 runs where lambda0(X_H) <= 0, so the homoclinic
+    built from it is no Reeb trajectory: the command exits 1 and names
+    NotStarShaped instead of writing the leg."""
+    assert main(["--out", str(tmp_path), "--epsilon", "1.5",
+                 "homoclinic"]) == 1
+    assert "NotStarShaped" in capsys.readouterr().err
+    assert not (tmp_path / "homoclinic.json").exists()
 
 
 def test_reports_identical_across_processes(tmp_path):

@@ -534,7 +534,8 @@ def test_mirrored_branch_half_is_the_integrated_one(eps, sign):
 
     p = HamiltonianParams.from_preset("validated", eps)
     v_unst, _, mu = orbits.saddle_eigendirections(p)
-    samples, x_apex, area = orbits._trace_branch(p, sign * v_unst, mu)
+    samples, x_apex, area, half, t_half = orbits._trace_branch(
+        p, sign * v_unst, mu)
     rhs = orbits.planar_rhs(p)
 
     def x_axis(t, z):
@@ -544,7 +545,10 @@ def test_mirrored_branch_half_is_the_integrated_one(eps, sign):
     sol = solve_ivp(rhs, (0.0, 4.0 / mu * np.log(1e6)), z0, method="DOP853",
                     rtol=1e-13, atol=1e-16, events=x_axis, dense_output=True)
     t_apex = sol.t_events[0][0]
+    assert t_half == t_apex
     assert sol.sol(t_apex)[0] == x_apex
+    grid = np.linspace(0.0, t_apex, 257)
+    assert np.array_equal(half(grid), sol.sol(grid))
     full = sol.sol(np.linspace(0.0, 2.0 * t_apex, 4001)).T
     assert np.max(np.abs(full - samples)) <= 1e-6
 
@@ -557,40 +561,76 @@ def test_mirrored_branch_half_is_the_integrated_one(eps, sign):
     assert area == pytest.approx(aug.y[2, -1], rel=1e-10)
 
 
+def _reeb_flow_oracle(p, z0, t_eval):
+    """The 4-D Reeb flow from z0, integrated at the tolerance of the planar
+    branches and sampled at t_eval."""
+    from scipy.integrate import solve_ivp
+
+    sol = solve_ivp(model.reeb_rhs(p), (0.0, t_eval[-1]), z0,
+                    method="DOP853", rtol=1e-13, atol=1e-13, t_eval=t_eval)
+    return sol.y.T
+
+
 @pytest.mark.parametrize("p", [
     HamiltonianParams.from_preset("validated", 0.3),
     HamiltonianParams.from_preset("validated", 0.5),
     HamiltonianParams.from_preset("validated", 0.6),
+    HamiltonianParams.from_preset("validated", 0.8),
+    HamiltonianParams.from_preset("validated", 1.2),
     HamiltonianParams(epsilon=0.5, a=0.3, b=-0.7, c=-1.0, d=0.5),
-], ids=["eps0.3", "eps0.5", "eps0.6", "custom"])
-def test_backward_homoclinic_leg_is_the_integrated_one(p, monkeypatch):
-    """Oracle for the reversing symmetry: the backward half of the
-    homoclinic is the 4-D Reeb flow integrated from the apex for Reeb time
-    -50 with the settings of the forward leg, which is the only 4-D
-    integration a separatrix call makes."""
+], ids=["eps0.3", "eps0.5", "eps0.6", "eps0.8", "eps1.2", "custom"])
+def test_homoclinic_leg_is_the_reeb_flow_from_the_apex(p, monkeypatch):
+    """Oracle for the leg built from gamma1's planar half and the Reeb-time
+    quadrature: the 4-D Reeb flow integrated from the apex passes through
+    its samples at their Reeb times; the backward leg is its mirror under
+    R(x1, y1, x2, y2) = (x1, -y1, x2, -y2); and no 4-D flow is integrated
+    to build it."""
     calls = []
-    integrate = model.integrate_flow
+    reeb_rhs, integrate = model.reeb_rhs, model.integrate_flow
 
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return integrate(*args, **kwargs)
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
 
-    monkeypatch.setattr(model, "integrate_flow", counted)
+    monkeypatch.setattr(model, "reeb_rhs", counted("rhs", reeb_rhs))
+    monkeypatch.setattr(model, "integrate_flow", counted("flow", integrate))
     _, traj, report = orbits.separatrix_and_homoclinics(p)
-    assert calls == [report["horizon"]]
+    assert calls == []
+    monkeypatch.undo()
+
     apex = len(traj.t) // 2
     assert traj.t[apex] == 0.0
-    bwd, _ = integrate(p, traj.states[apex], -report["horizon"], tol=1e-13,
-                       n_samples=apex + 1, method="DOP853")
-    assert np.max(np.abs(traj.states[apex::-1] - bwd.states)) <= 1e-12
-    assert np.array_equal(traj.t[apex::-1], bwd.t)
+    assert traj.t[-1] == report["horizon"]
+    fwd = traj.states[apex:]
+    err = np.max(np.abs(_reeb_flow_oracle(p, fwd[0], traj.t[apex:]) - fwd),
+                 axis=1)
+    # the leg closes on the saddle, whose unstable direction amplifies any
+    # difference between the two over the second half
+    assert np.max(err[:len(err) // 2]) <= 1e-10
+    assert np.max(err) <= 1e-7
+    mirror = np.array([1.0, -1.0, 1.0, -1.0])
+    assert np.array_equal(traj.states[apex::-1], fwd * mirror)
     assert np.array_equal(traj.t[apex::-1], -traj.t[apex:])
     assert report["end_distance_backward"] == report["end_distance_forward"]
-    end = orbits.distance_to_orbit_set(
-        orbits.ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
-                         reeb_period=float(np.pi)), bwd.states[-1])[0]
-    assert report["end_distance_backward"] == pytest.approx(end, abs=1e-12)
-    assert traj.energy_drift == pytest.approx(bwd.energy_drift, abs=1e-12)
+    assert traj.energy_drift < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.8, 1.0, 1.2])
+def test_homoclinic_horizon_brings_the_flow_to_the_binding_orbit(eps):
+    """The reported end distance is the 1e-6 launch offset by construction;
+    the 4-D Reeb flow integrated from the apex for the reported horizon
+    ends within 1e-4 of P2 too, whether the leg is long (eps = 0.3) or
+    short (eps = 1.2)."""
+    p = HamiltonianParams.from_preset("validated", eps)
+    _, traj, report = orbits.separatrix_and_homoclinics(p)
+    apex = len(traj.t) // 2
+    end = _reeb_flow_oracle(p, traj.states[apex], [report["horizon"]])[-1]
+    p2 = orbits.ReebOrbit(label="P2", z2_datum=np.zeros(2), r=1.0,
+                          reeb_period=float(np.pi))
+    assert orbits.distance_to_orbit_set(p2, end)[0] <= 1e-4
+    assert report["end_distance_forward"] == pytest.approx(1e-6, rel=1e-3)
 
 
 def test_homoclinic_stays_on_surface(separatrix):
