@@ -350,8 +350,9 @@ def _cmd_atlas(cfg, out: Path, args):
     p = HamiltonianParams.from_config(cfg)
     # special_orbits refuses an invalid structure or period chain before
     # the separatrix is traced; a valid structure has a saddle at the origin
-    orbits.special_orbits(p)
-    atlas = leaves.foliation_atlas(p, orbits.separatrix_and_homoclinics(p))
+    trio = orbits.special_orbits(p)
+    separatrix = orbits.separatrix_and_homoclinics(p)
+    atlas = leaves.foliation_atlas(p, separatrix)
     payload = {"leaves": {}, "binding_orbits": {}, "separatrix_shadow": {}}
     for iid, entry in atlas["leaves"].items():
         diag = asdict(entry["diagnostics"])
@@ -371,8 +372,9 @@ def _cmd_atlas(cfg, out: Path, args):
     payload["separatrix_shadow"]["status"] = atlas["separatrix_shadow"]["status"]
     payload["homoclinic_report"] = atlas["homoclinic_report"]
     _write(out / "atlas.json", dumps(payload))
-    _write(out / "atlas.svg",
-           svgplot.plot_atlas(p, atlas, svgplot.level_curves(p)))
+    profiles = {iid: entry["profile"] for iid, entry in atlas["leaves"].items()}
+    _write(out / "atlas.svg", svgplot.plot_atlas(
+        p, profiles, separatrix, trio, svgplot.level_curves(p)))
 
 
 def _cmd_scan(cfg, out: Path, args):
@@ -436,8 +438,11 @@ def _cmd_plot(cfg, out: Path, args):
         separatrix = orbits.separatrix_and_homoclinics(p)
     plots = {
         "levels": lambda: svgplot.plot_levels(p, curves, separatrix),
+        # the figure draws the profiles alone: no leaf grid, no diagnostics
         "atlas": lambda: svgplot.plot_atlas(
-            p, leaves.foliation_atlas(p, separatrix), curves),
+            p, {iid: leaves.integrate_profile(p, iid)
+                for iid in leaves.INTERVALS},
+            separatrix, orbits.special_orbits(p), curves),
         "separatrix": lambda: svgplot.plot_separatrix(p, separatrix),
         "orbit3d-projection": lambda: svgplot.plot_orbit_projection(
             p, seed=cfg.seed),

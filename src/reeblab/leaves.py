@@ -28,6 +28,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from .errors import (
+    HypothesisFailure,
     OutsideEnergyCap,
     SlowConvergence,
     UnreliableWinding,
@@ -177,8 +178,11 @@ def integrate_profile(
     # the flow runs monotonically toward one endpoint in each s direction
     fwd_target, bwd_target = (lo, hi) if slope < 0 else (hi, lo)
 
+    # plain-float arithmetic, as in model.reeb_rhs: the same bits as on
+    # numpy scalars, at a fraction of the cost per call
     def rhs(s, y):
-        return (profile_rhs(p, y[0]), np.pi * max(f_squared(p, y[0]), 0.0))
+        g, _ = y.tolist()
+        return (profile_rhs(p, g), np.pi * max(f_squared(p, g), 0.0))
 
     def make_event(target):
         # orbit ends stop on |g - endpoint|; energy-cap ends stop on f^2
@@ -187,10 +191,10 @@ def integrate_profile(
 
         if cap_end:
             def event(s, y):
-                return float(f_squared(p, y[0])) - 0.1 * asym_tol
+                return f_squared(p, float(y[0])) - 0.1 * asym_tol
         else:
             def event(s, y):
-                return abs(y[0] - target) - asym_tol
+                return abs(float(y[0]) - target) - asym_tol
         event.terminal = True
         event.direction = -1.0
         return event
@@ -247,14 +251,23 @@ def assemble_leaf(p: HamiltonianParams, profile: LeafProfile,
     return LeafGrid(profile=profile, t=t, u=u, a=profile.a.copy())
 
 
-def _grid_derivatives(grid: LeafGrid):
-    """Centered second-order derivatives u_s (interior) and u_t (periodic)."""
+def _meridian_residual(p: HamiltonianParams, grid: LeafGrid, j: int) -> float:
+    """Largest Cauchy-Riemann residual on the interior of the meridian
+    t = grid.t[j]: u_s centred over rows i -+ 1, u_t centred over columns
+    j -+ 1 (periodic in t), both second order."""
     u = grid.u
     ds = grid.profile.s[1] - grid.profile.s[0]
     dt = grid.t[1] - grid.t[0]
-    u_s = (u[2:] - u[:-2]) / (2.0 * ds)
-    u_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dt)
-    return u_s, u_t[1:-1], ds, dt
+    pts = u[1:-1, j]
+    u_s = (u[2:, j] - u[:-2, j]) / (2.0 * ds)
+    u_t = (u[1:-1, (j + 1) % len(grid.t)] - u[1:-1, j - 1]) / (2.0 * dt)
+    frame = model.contact_frame(p, pts)
+    res1 = np.linalg.norm(frame.project(u_s)
+                          + frame.apply_J(frame.project(u_t)), axis=-1)
+    a_s = (grid.a[2:] - grid.a[:-2]) / (2.0 * ds)
+    res2 = np.abs(a_s - model.lambda0(pts, u_t))
+    res3 = np.abs(0.0 + model.lambda0(pts, u_s))  # a_t = 0 for the symmetric ansatz
+    return float(np.max(res1 + res2 + res3))
 
 
 def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
@@ -264,39 +277,21 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
     The residual combines the projected first-order system
     pi u_s + J pi u_t = 0 with the symplectization pairing
     a_s = lambda(u_t), a_t = -lambda(u_s), all derivatives by centered
-    differences on the grid (second order).
+    differences on the grid (second order).  H and lambda0 are invariant
+    under the rotation t -> t + c that generates the leaf, so the residual
+    is evaluated on the meridian t = 0 alone; a second meridian, a third
+    of the way round, must agree to 1e-12 + 1e-9 cr, else the grid is no
+    rotation-symmetric leaf and HypothesisFailure is raised.
     """
     prof = grid.profile
-    u_s, u_t, ds, dt = _grid_derivatives(grid)
-    pts = grid.u[1:-1]
-    shp = pts.shape[:2]
-    flat = pts.reshape(-1, 4)
-    frame = model.contact_frame(p, flat)
-    pi_us = frame.project(u_s.reshape(-1, 4))
-    pi_ut = frame.project(u_t.reshape(-1, 4))
-    j_piut = frame.apply_J(pi_ut)
-    res1 = np.linalg.norm(pi_us + j_piut, axis=-1).reshape(shp)
-
-    a_s = (grid.a[2:] - grid.a[:-2]) / (2.0 * ds)
-    lam_ut = model.lambda0(flat, u_t.reshape(-1, 4)).reshape(shp)
-    lam_us = model.lambda0(flat, u_s.reshape(-1, 4)).reshape(shp)
-    res2 = np.abs(a_s[:, None] - lam_ut)
-    res3 = np.abs(0.0 + lam_us)  # a_t = 0 for the symmetric ansatz
-    cr = float(np.max(res1 + res2 + res3))
-
-    hofer = float(np.pi * prof.f[-1] ** 2)
-    mass_neg = float(np.pi * prof.f[0] ** 2)
-
-    # the end windings read the first and last interior rows, where the
-    # centred u_s and its frame are already in hand
-    pi_us_rows = pi_us.reshape(shp + (4,))
-    xbar1 = frame.Xbar1.reshape(shp + (4,))
-    xbar2 = frame.Xbar2.reshape(shp + (4,))
+    ds = prof.s[1] - prof.s[0]
 
     def wind_at(row, label):
         if label == "removable":
             return None
-        sec = pi_us_rows[row]
+        # the end loops go once around t, so they keep their full rows
+        frame = model.contact_frame(p, grid.u[row])
+        sec = frame.project((grid.u[row + 1] - grid.u[row - 1]) / (2.0 * ds))
         sec_max = np.max(np.linalg.norm(sec, axis=-1))
         if sec_max < wind_floor:
             raise UnreliableWinding(f"projected u_s up to {sec_max:g} below "
@@ -304,14 +299,25 @@ def leaf_diagnostics(p: HamiltonianParams, grid: LeafGrid,
         # a closed loop's turn count is an integer however coarse the
         # sampling, so the largest angle step is the only guard
         turns, step = model.winding_turns(
-            model.frame_coords(xbar1[row], xbar2[row], sec), closed=True)
+            model.frame_coords(frame.Xbar1, frame.Xbar2, sec), closed=True)
         if step >= 0.5 * np.pi:
             raise UnreliableWinding(
                 f"angle step {step:.3g} >= pi/2 at the {label} end")
         return int(np.round(turns))
 
-    wind_pos = wind_at(-1, prof.asymptote_pos)
-    wind_neg = wind_at(0, prof.asymptote_neg)
+    wind_pos = wind_at(len(prof.s) - 2, prof.asymptote_pos)
+    wind_neg = wind_at(1, prof.asymptote_neg)
+
+    cr = _meridian_residual(p, grid, 0)
+    j = len(grid.t) // 3
+    cr_j = _meridian_residual(p, grid, j)
+    if abs(cr_j - cr) > 1e-12 + 1e-9 * cr:
+        raise HypothesisFailure(
+            f"Cauchy-Riemann residual {cr!r} on the meridian t = 0 but "
+            f"{cr_j!r} at t = {grid.t[j]:g}: the leaf is not rotation-symmetric")
+
+    hofer = float(np.pi * prof.f[-1] ** 2)
+    mass_neg = float(np.pi * prof.f[0] ** 2)
 
     checks = strong_section_check(p, grid, "pos") if prof.asymptote_pos != "removable" else None
     sign = checks["verdict_sign"] if checks else "n/a"

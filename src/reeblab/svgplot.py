@@ -50,11 +50,14 @@ class SvgCanvas:
         return sx, sy
 
     def polyline(self, pts, color, width=1.2, dash=None):
+        """Polyline through the rows (x, y) of the array pts, mapped as a
+        whole by _map and formatted from plain floats."""
+        pts = np.asarray(pts, float)
         if len(pts) < 2:
             return
+        sx, sy = self._map(pts[:, 0], pts[:, 1])
         coords = " ".join(
-            f"{_fmt(sx)},{_fmt(sy)}" for sx, sy in (self._map(x, y) for x, y in pts)
-        )
+            f"{a:.3f},{b:.3f}" for a, b in zip(sx.tolist(), sy.tolist()))
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}"'
@@ -122,11 +125,10 @@ def plot_levels(p: HamiltonianParams, curves, separatrix) -> str:
     cv.polyline([(box[0], 0.0), (box[1], 0.0)], PALETTE["axis"], 0.6)
     cv.polyline([(0.0, box[2]), (0.0, box[3])], PALETTE["axis"], 0.6)
     for loop in curves:
-        pts = [(x, y) for x, y in loop]
-        cv.polyline(pts + pts[:1], PALETTE["level"], 1.0)
+        cv.polyline(np.vstack([loop, loop[:1]]), PALETTE["level"], 1.0)
     if separatrix is not None:
         for br in separatrix[0]:
-            cv.polyline([(x, y) for x, y in br.samples], PALETTE["separatrix"], 1.6)
+            cv.polyline(br.samples, PALETTE["separatrix"], 1.6)
     for cp in orbits.structure_of(p).points:
         cv.circle(cp.location[0], cp.location[1], 4.0, PALETTE["binding"])
         cv.text(cp.location[0] + 0.02, cp.location[1] + 0.05,
@@ -142,10 +144,9 @@ def plot_separatrix(p: HamiltonianParams, separatrix) -> str:
     box = (-1.0 * e, 3.0 * e, -1.4 * e, 1.4 * e)
     cv = SvgCanvas(box, title="separatrix branches and homoclinic shadow")
     cv.polyline([(box[0], 0.0), (box[1], 0.0)], PALETTE["axis"], 0.6)
-    cv.polyline([(x, y) for x, y in g1.samples], PALETTE["P1"], 1.6)
-    cv.polyline([(x, y) for x, y in g2.samples], PALETTE["separatrix"], 1.6)
-    cv.polyline([(z[2], z[3]) for z in traj.states], PALETTE["P3"], 0.8,
-                dash="4,3")
+    cv.polyline(g1.samples, PALETTE["P1"], 1.6)
+    cv.polyline(g2.samples, PALETTE["separatrix"], 1.6)
+    cv.polyline(traj.states[:, 2:4], PALETTE["P3"], 0.8, dash="4,3")
     cv.circle(0.0, 0.0, 4.0, PALETTE["binding"])
     for x in g1.axis_crossings:
         cv.circle(float(x), 0.0, 3.0, PALETTE["P1"], fill=False)
@@ -157,34 +158,35 @@ def plot_separatrix(p: HamiltonianParams, separatrix) -> str:
     return cv.render()
 
 
-def plot_atlas(p: HamiltonianParams, atlas, curves) -> str:
+def plot_atlas(p: HamiltonianParams, profiles, separatrix, trio,
+               curves) -> str:
     """Projection of the explicit foliation onto the planar factor: level
     curves, binding points, the four axis profiles and the separatrix
-    shadow of the off-axis cylinders.  `atlas` comes from
-    leaves.foliation_atlas and `curves` from level_curves."""
+    shadow of the off-axis cylinders.  `profiles` maps each interval of
+    leaves.INTERVALS to its leaves.integrate_profile, `separatrix` comes
+    from orbits.separatrix_and_homoclinics, `trio` from
+    orbits.special_orbits and `curves` from level_curves."""
     xp, xm = leaves.solve_xbar(p)
     e = p.epsilon
     box = (xm - 0.4 * e, xp + 0.4 * e, -1.6 * e, 1.6 * e)
     cv = SvgCanvas(box, title="explicit foliation atlas (axis shadows)")
     for loop in curves:
-        cv.polyline([(x, y) for x, y in loop], PALETTE["level"], 0.8)
-    shadow = atlas["separatrix_shadow"]
-    for key in ("gamma1", "gamma2"):
-        cv.polyline([(x, y) for x, y in shadow[key].samples],
-                    PALETTE["separatrix"], 1.4, dash="6,4")
+        cv.polyline(loop, PALETTE["level"], 0.8)
+    for br in separatrix[0]:
+        cv.polyline(br.samples, PALETTE["separatrix"], 1.4, dash="6,4")
     y_off = {"disk_to_P2": -0.05, "cyl_P2_P1": 0.05,
              "cyl_P3_P1": 0.05, "plane_to_P3": -0.05}
     for iid in leaves.INTERVALS:
-        prof = atlas["leaves"][iid]["profile"]
-        y = y_off[iid] * e
-        cv.polyline([(g, y) for g in prof.g[:: max(1, len(prof.g) // 128)]],
+        g = profiles[iid].g[:: max(1, len(profiles[iid].g) // 128)]
+        cv.polyline(np.column_stack([g, np.full_like(g, y_off[iid] * e)]),
                     PALETTE[iid], 3.0)
-    for label, orb in sorted(atlas["binding_orbits"].items()):
-        cv.circle(orb.z2_datum[0], orb.z2_datum[1], 5.0, PALETTE[label])
-        cv.text(orb.z2_datum[0] + 0.02, orb.z2_datum[1] + 0.09, label, size=13)
+    for orb in trio:
+        cv.circle(orb.z2_datum[0], orb.z2_datum[1], 5.0, PALETTE[orb.label])
+        cv.text(orb.z2_datum[0] + 0.02, orb.z2_datum[1] + 0.09, orb.label,
+                size=13)
     ly = 56
     for iid in leaves.INTERVALS:
-        cv.text(30, ly, f"{iid}: {atlas['leaves'][iid]['role']}",
+        cv.text(30, ly, f"{iid}: {leaves.LEAF_ROLES[iid]}",
                 color=PALETTE[iid], size=12, screen=True)
         ly += 16
     cv.text(30, ly, "dashed: conjectural shadow of the off-axis cylinders",
@@ -205,7 +207,7 @@ def plot_orbit_projection(p: HamiltonianParams, seed: int = 0) -> str:
     cv = SvgCanvas((-lim, lim, -lim, lim),
                    title="binding orbits, stereographic projection")
     for orb, proj in zip(trio, projected):
-        cv.polyline([(q[0], q[1]) for q in proj] + [(proj[0][0], proj[0][1])],
+        cv.polyline(np.vstack([proj[:, :2], proj[:1, :2]]),
                     PALETTE[orb.label], 1.6)
     for orb, proj in zip(trio, projected):
         cv.text(proj[0][0], proj[0][1], orb.label, color=PALETTE[orb.label],

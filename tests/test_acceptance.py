@@ -180,8 +180,10 @@ def test_criterion_9_determinism(tmp_path):
         separatrix = orbits.separatrix_and_homoclinics(p)
         svgs = (
             svgplot.plot_levels(p, curves, separatrix)
-            + svgplot.plot_atlas(p, leaves.foliation_atlas(p, separatrix),
-                                 curves)
+            + svgplot.plot_atlas(
+                p, {iid: leaves.integrate_profile(p, iid)
+                    for iid in leaves.INTERVALS},
+                separatrix, orbits.special_orbits(p), curves)
             + svgplot.plot_orbit_projection(p, seed=cfg.seed)
         )
         blobs.append(hashlib.sha256((dumps(rep) + svgs).encode()).hexdigest())

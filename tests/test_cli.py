@@ -357,6 +357,28 @@ def test_plot_traces_the_separatrix_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+def test_leaf_diagnostics_only_where_a_report_reads_them(tmp_path,
+                                                         monkeypatch):
+    """`plot` draws the atlas from the four profiles alone; `atlas` reports
+    the diagnostics of all four leaves and `validate` of two."""
+    calls = []
+    diagnose = leaves.leaf_diagnostics
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return diagnose(*args, **kwargs)
+
+    monkeypatch.setattr(leaves, "leaf_diagnostics", counted)
+    counts = {}
+    for command in (["plot", "--targets", "atlas"], ["atlas"], ["validate"]):
+        calls.clear()
+        assert main(["--out", str(tmp_path), *command]) == 0
+        counts[command[0]] = len(calls)
+    assert counts == {"plot": 0, "atlas": 4, "validate": 2}
+    assert (tmp_path / "plot_atlas.svg").read_bytes() \
+        == (tmp_path / "atlas.svg").read_bytes()
+
+
 def _count_integrations(monkeypatch):
     """Record each separatrix branch, leaf profile and 4-D Reeb flow
     integrated.  A traced separatrix is its two planar branches alone: the

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from reeblab import leaves, model, orbits
 from reeblab.errors import (
+    HypothesisFailure,
     OutsideEnergyCap,
     SlowConvergence,
     UnreliableWinding,
@@ -157,6 +160,121 @@ def test_cr_residual_second_order(params):
         d2 = leaves.leaf_diagnostics(params, grid2)
         ratio = d1.cr_residual_max / d2.cr_residual_max
         assert 3.5 <= ratio <= 4.5, (iid, ratio)
+
+
+def _grid_derivatives(grid: LeafGrid):
+    """Centered second-order derivatives u_s (interior) and u_t (periodic)."""
+    u = grid.u
+    ds = grid.profile.s[1] - grid.profile.s[0]
+    dt = grid.t[1] - grid.t[0]
+    u_s = (u[2:] - u[:-2]) / (2.0 * ds)
+    u_t = (np.roll(u, -1, axis=1) - np.roll(u, 1, axis=1)) / (2.0 * dt)
+    return u_s, u_t[1:-1], ds, dt
+
+
+def full_grid_diagnostics(p, grid, wind_floor=1e-9):
+    """Oracle for leaf_diagnostics: the residual on all interior grid
+    points, not on one meridian, and the end windings from the same pass."""
+    prof = grid.profile
+    u_s, u_t, ds, dt = _grid_derivatives(grid)
+    pts = grid.u[1:-1]
+    shp = pts.shape[:2]
+    flat = pts.reshape(-1, 4)
+    frame = model.contact_frame(p, flat)
+    pi_us = frame.project(u_s.reshape(-1, 4))
+    pi_ut = frame.project(u_t.reshape(-1, 4))
+    j_piut = frame.apply_J(pi_ut)
+    res1 = np.linalg.norm(pi_us + j_piut, axis=-1).reshape(shp)
+
+    a_s = (grid.a[2:] - grid.a[:-2]) / (2.0 * ds)
+    lam_ut = model.lambda0(flat, u_t.reshape(-1, 4)).reshape(shp)
+    lam_us = model.lambda0(flat, u_s.reshape(-1, 4)).reshape(shp)
+    res2 = np.abs(a_s[:, None] - lam_ut)
+    res3 = np.abs(0.0 + lam_us)  # a_t = 0 for the symmetric ansatz
+    cr = float(np.max(res1 + res2 + res3))
+
+    hofer = float(np.pi * prof.f[-1] ** 2)
+    mass_neg = float(np.pi * prof.f[0] ** 2)
+
+    # the end windings read the first and last interior rows, where the
+    # centred u_s and its frame are already in hand
+    pi_us_rows = pi_us.reshape(shp + (4,))
+    xbar1 = frame.Xbar1.reshape(shp + (4,))
+    xbar2 = frame.Xbar2.reshape(shp + (4,))
+
+    def wind_at(row, label):
+        if label == "removable":
+            return None
+        sec = pi_us_rows[row]
+        sec_max = np.max(np.linalg.norm(sec, axis=-1))
+        if sec_max < wind_floor:
+            raise UnreliableWinding(f"projected u_s up to {sec_max:g} below "
+                                    f"floor {wind_floor:g} at the {label} end")
+        # a closed loop's turn count is an integer however coarse the
+        # sampling, so the largest angle step is the only guard
+        turns, step = model.winding_turns(
+            model.frame_coords(xbar1[row], xbar2[row], sec), closed=True)
+        if step >= 0.5 * np.pi:
+            raise UnreliableWinding(
+                f"angle step {step:.3g} >= pi/2 at the {label} end")
+        return int(np.round(turns))
+
+    wind_pos = wind_at(-1, prof.asymptote_pos)
+    wind_neg = wind_at(0, prof.asymptote_neg)
+
+    checks = leaves.strong_section_check(p, grid, "pos") if prof.asymptote_pos != "removable" else None
+    sign = checks["verdict_sign"] if checks else "n/a"
+
+    return leaves.LeafDiagnostics(
+        cr_residual_max=cr,
+        hofer_energy=hofer,
+        mass_neg_end=mass_neg,
+        dlambda_area=hofer - mass_neg,
+        wind_infty_pos=wind_pos,
+        wind_infty_neg=wind_neg,
+        section_pairing_sign=sign,
+    )
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.7])
+def test_meridian_diagnostics_match_the_full_grid(eps):
+    """The residual on one meridian is the full grid's to rounding, since
+    the leaf, H and lambda0 are all invariant under the rotation in t; the
+    windings, energies and section sign are exactly the full grid's."""
+    p = model.HamiltonianParams.from_preset("validated", eps)
+    orbits.validate_structure(p)
+    for iid in INTERVALS:
+        grid = leaves.assemble_leaf(p, leaves.integrate_profile(p, iid))
+        got = leaves.leaf_diagnostics(p, grid)
+        want = full_grid_diagnostics(p, grid)
+        assert abs(got.cr_residual_max - want.cr_residual_max) <= 1e-13, iid
+        assert dataclasses.replace(
+            got, cr_residual_max=want.cr_residual_max) == want, iid
+
+
+def test_meridian_guard_rejects_an_asymmetric_grid(params):
+    grid = leaves.assemble_leaf(
+        params, leaves.integrate_profile(params, "cyl_P3_P1"))
+    # one column lifted off the rotation orbit of the meridian: the centred
+    # u_t on the meridian t = 0 reads it, the guard's meridian does not
+    grid.u[1:-1, 1, 2] += 1e-7
+    with pytest.raises(HypothesisFailure, match="not rotation-symmetric"):
+        leaves.leaf_diagnostics(params, grid)
+
+
+def test_profile_in_plain_floats_matches_numpy_scalars(params, monkeypatch):
+    """The profile's right-hand side and events run on plain floats; fed
+    numpy scalars instead, the integration gives the same bits."""
+    plain = {iid: leaves.integrate_profile(params, iid) for iid in INTERVALS}
+    for name in ("profile_rhs", "f_squared"):
+        fn = getattr(leaves, name)
+        monkeypatch.setattr(leaves, name, lambda p, g, fn=fn: fn(
+            p, np.asarray(g, float)[()]))
+    for iid in INTERVALS:
+        scalar = leaves.integrate_profile(params, iid)
+        assert np.array_equal(scalar.g, plain[iid].g), iid
+        assert np.array_equal(scalar.a, plain[iid].a), iid
+        assert np.array_equal(scalar.s, plain[iid].s), iid
 
 
 def test_asymptotic_windings_all_one(atlas):
