@@ -325,75 +325,80 @@ def axis_level_seeds(p: HamiltonianParams, level: float) -> np.ndarray:
     return np.array(seeds) if seeds else np.zeros((0, 2))
 
 
+def _trace_to_axis(p: HamiltonianParams, z0, sense: float, horizon: float,
+                   rtol: float, atol: float, what: str):
+    """Integrate the planar flow from z0 by DOP853 to its first crossing of
+    the axis y = 0 in direction `sense`, the sign of dy/dt there.
+
+    H2 is even in y, so R(x, y) = (x, -y) reverses the planar flow
+    (Devaney, Trans. AMS 218, 1976).  An orbit that meets Fix(R), the axis,
+    at time t_b is R-symmetric about it: z(t_b + u) = R z(t_b - u).  So a
+    loop, or a separatrix branch, is integrated only up to an axis crossing,
+    and the rest is its mirror image.  Returns (dense, t_a, t_b): the dense
+    output on [0, t_b], the first crossing in the opposite direction (None
+    if there is none before t_b) and the closing crossing t_b.  Raises
+    NoReturn, `what` and the time elapsed, when the flow does not close
+    within `horizon`.
+    """
+    def closing(t, z):
+        return z[1]
+
+    def opening(t, z):
+        return z[1]
+
+    closing.terminal, closing.direction = True, sense
+    opening.direction = -sense
+    sol = solve_ivp(planar_rhs(p), (0.0, horizon), z0, method="DOP853",
+                    rtol=rtol, atol=atol, events=(closing, opening),
+                    dense_output=True)
+    if not len(sol.t_events[0]):
+        elapsed = float(sol.t[-1])
+        raise NoReturn(f"{what} within time {elapsed:g}", elapsed=elapsed)
+    opened = sol.t_events[1]
+    t_a = float(opened[0]) if len(opened) else None
+    return sol.sol, t_a, float(sol.t_events[0][0])
+
+
 def planar_period_and_area(
     p: HamiltonianParams,
     level: float,
     seed,
     max_time: float = 1e4,
-    tol: float = 1e-10,
     n_loop: int = 2048,
 ):
     """Hamiltonian-time period and enclosed signed area of the planar loop
     of H2 through `seed` on the given level.
 
-    Return (tau, area, loop).  The period is detected by a directional
-    crossing of the section through the seed orthogonal to the flow,
-    filtered by proximity to the seed; raises NoReturn with the elapsed
-    horizon when no crossing returns (near-separatrix divergence).
+    Return (tau, area, loop).  The loop meets the axis y = 0 at two times
+    t_a < t_b, half its period apart, so tau = 2 (t_b - t_a), and the
+    samples after t_b are the mirror images of those before.  From a seed
+    on the axis t_a = 0; from a seed off it, t_a is the first crossing.  Raises NoReturn with the elapsed horizon when the loop
+    does not close on the axis within max_time (near-separatrix divergence,
+    or a loop about an off-axis well).
     """
     seed = np.asarray(seed, float)
     h_seed = float(model.h2_eval(p, seed[0], seed[1]))
     if abs(h_seed - level) > max(1e-6, 1e-8 * max(1.0, abs(level))):
         raise ValueError(f"seed has H2 = {h_seed:g}, not the level {level:g}")
-    rhs = planar_rhs(p)
-    v0 = np.array(rhs(0.0, seed))
-    speed = np.linalg.norm(v0)
+    q, pp = model.h2_grad(p, float(seed[0]), float(seed[1]))
+    speed = math.hypot(q, pp)
     if speed < 1e-12:
         raise ValueError(f"seed is a critical point (|grad H2| = {speed:g})")
-    v0n = v0 / speed
-
-    def section(t, z):
-        return (z[0] - seed[0]) * v0n[0] + (z[1] - seed[1]) * v0n[1]
-
-    section.direction = 1.0
-
-    # integrate in chunks so far-away crossings of the section line do not
-    # force a full-horizon integration before the proximity filter runs
-    chunk = 64.0
-    pieces = []
-    t0, z = 0.0, np.array(seed, float)
-    tau = None
-    while t0 < max_time and tau is None:
-        t1 = min(t0 + chunk, max_time)
-        sol = solve_ivp(rhs, (t0, t1), z, method="DOP853",
-                        rtol=tol, atol=tol * 1e-2,
-                        events=section, dense_output=True)
-        pieces.append(sol)
-        for te in sol.t_events[0]:
-            if te < 1e-9:
-                continue
-            ze = sol.sol(te)
-            if np.hypot(ze[0] - seed[0], ze[1] - seed[1]) \
-                    < 0.05 * max(1.0, speed):
-                tau = float(te)
-                break
-        t0, z = float(sol.t[-1]), sol.y[:, -1]
-    if tau is None:
-        raise NoReturn(f"no return to the section through ({seed[0]:g}, "
-                       f"{seed[1]:g}) on level {level:g} within time {t0:g}",
-                       elapsed=t0)
-
+    # from an axis seed the loop leaves with dy/dt = Q(seed) and closes at
+    # the next crossing, the other way; from a seed off the axis it closes
+    # at the crossing back to the seed's side
+    on_axis = seed[1] == 0.0
+    sense = -math.copysign(1.0, q) if on_axis else math.copysign(1.0, seed[1])
+    half, t_a, t_b = _trace_to_axis(
+        p, seed, sense, max_time, 1e-10, 1e-12,
+        f"no return to the axis y = 0 from ({seed[0]:g}, {seed[1]:g}) "
+        f"on level {level:g}")
+    if on_axis:
+        t_a = 0.0
+    tau = 2.0 * (t_b - t_a)
     ts = np.arange(n_loop) / n_loop * tau
-    loop = np.empty((n_loop, 2))
-    lo = 0
-    for sol in pieces:
-        hi = np.searchsorted(ts, sol.t[-1], side="right")
-        hi = max(hi, lo)
-        if lo < hi:
-            loop[lo:hi] = sol.sol(ts[lo:hi]).T
-        lo = hi
-    if lo < n_loop:
-        loop[lo:] = pieces[-1].sol(ts[lo:]).T
+    loop = half(np.minimum(ts, 2.0 * t_b - ts)).T
+    loop[ts > t_b, 1] *= -1.0
     return tau, _loop_area(p, loop, tau), loop
 
 
@@ -577,18 +582,16 @@ def _on_loop(seed, loop: np.ndarray) -> bool:
 
 
 def level_components(p: HamiltonianParams, level: float,
-                     max_time: float = 1e4, tol: float = 1e-10,
                      n_loop: int = 2048):
     """Trace each component of the level set H2 = level once.
 
     Walks the axis seeds of the level and traces one only if it is not a
     critical point and does not lie on a loop already traced: by
-    polar_period_and_area, and by integrating planar_period_and_area
-    (horizon max_time, tolerance tol) where the quadrature cannot certify
-    itself.  Returns (components, no_return): components is a list of
-    (seed, tau, area, loop) in seed order, each loop of n_loop samples;
-    no_return lists (seed, elapsed) for the seeds whose loop did not return
-    in max_time.
+    polar_period_and_area, and by integrating planar_period_and_area where
+    the quadrature cannot certify itself.  Returns (components, no_return):
+    components is a list of (seed, tau, area, loop) in seed order, each
+    loop of n_loop samples; no_return lists (seed, elapsed) for the seeds
+    whose loop did not return within the integration horizon.
     """
     crit = np.array([cp.location for cp in structure_of(p).points])
     components, no_return = [], []
@@ -600,8 +603,7 @@ def level_components(p: HamiltonianParams, level: float,
         traced = polar_period_and_area(p, level, seed, n_loop)
         if traced is None:
             try:
-                traced = planar_period_and_area(
-                    p, level, seed, max_time=max_time, tol=tol, n_loop=n_loop)
+                traced = planar_period_and_area(p, level, seed, n_loop=n_loop)
             except NoReturn as exc:
                 no_return.append((seed, exc.elapsed))
                 continue
@@ -666,8 +668,8 @@ def resonant_orbit_scan(
     return candidates, diagnostics
 
 
-def product_loop(p: HamiltonianParams, planar_loop: np.ndarray, tau: float,
-                 level: float, m1: int, m2: int, n: int = 2048) -> np.ndarray:
+def product_loop(planar_loop: np.ndarray, level: float, m1: int, m2: int,
+                 n: int = 2048) -> np.ndarray:
     """Closed product curve: the planar loop traversed m2 times while the
     base circle of radius sqrt(1 - 2C) turns m1 times; the base speed is
     adjusted so the curve closes exactly (resonance surrogate)."""
@@ -706,12 +708,10 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
     leaving the saddle 1e-6 along `direction`, with the dense output of its
     integrated half and the time t_apex at which it meets the axis.
 
-    H2 is even in y, so R(x, y) = (x, -y) reverses the planar flow.  A
-    branch that leaves the saddle and meets Fix(R), the axis y = 0, at time
-    t_apex is R-symmetric about it: z(t_apex + u) = R z(t_apex - u).  So
-    only the half up to the axis is integrated, and the rest is its mirror
-    image, which comes back to the saddle at 2 t_apex.  Raises NoReturn
-    when the branch does not meet the axis within the horizon.
+    The branch is integrated by _trace_to_axis to its first crossing of
+    y = 0, its apex, and the rest is the mirror image of that half, which
+    comes back to the saddle at 2 t_apex.  Raises NoReturn when the branch
+    does not meet the axis within the horizon.
     """
     offset = 1e-6
     # leaving the saddle from offset and coming back to it each take about
@@ -719,24 +719,16 @@ def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
     # halfway: 0.50-0.54 times the sum over eps = 0.5 ... 1.5 (77.8 against
     # 156.3 at eps = 0.5).  Twice the sum is the horizon
     horizon = 2.0 * (2.0 / mu) * np.log(1.0 / offset)
-
-    def x_axis(t, z):
-        return z[1]
-
-    x_axis.terminal = True
-    sol = solve_ivp(planar_rhs(p), (0.0, horizon), offset * direction,
-                    method="DOP853", rtol=1e-13, atol=1e-16,
-                    events=x_axis, dense_output=True)
-    if not len(sol.t_events[0]):
-        raise NoReturn("separatrix branch did not meet the axis y = 0 "
-                       f"within time {sol.t[-1]:g}", elapsed=float(sol.t[-1]))
-    t_apex = float(sol.t_events[0][0])
-    half = sol.sol(np.linspace(0.0, t_apex, 2001)).T
+    z0 = offset * direction
+    dense, _, t_apex = _trace_to_axis(
+        p, z0, -math.copysign(1.0, z0[1]), horizon, 1e-13, 1e-16,
+        "separatrix branch did not meet the axis y = 0")
+    half = dense(np.linspace(0.0, t_apex, 2001)).T
     samples = np.vstack([half, half[-2::-1] * np.array([1.0, -1.0])])
     # the last sample closes the loop at the saddle; the periodic rule
     # counts it once, as the first
     area = _loop_area(p, samples[:-1], 2.0 * t_apex)
-    return samples, float(half[-1, 0]), area, sol.sol, t_apex
+    return samples, float(half[-1, 0]), area, dense, t_apex
 
 
 def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:

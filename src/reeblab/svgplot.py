@@ -103,10 +103,11 @@ def level_curves(p: HamiltonianParams) -> list:
     vals = sorted(cp.h2_value for cp in orbits.structure_of(p).axis_points)
     lo, hi = vals[0], vals[-1]
     curves = []
-    for level in (0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi,
-                  3.0 * hi, 10.0 * hi, 0.25):
-        components, _ = orbits.level_components(p, level, max_time=500.0,
-                                                tol=1e-9, n_loop=512)
+    # each distinct level once: where the top critical value is 0 the four
+    # levels scaled from it coincide
+    for level in dict.fromkeys((0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi,
+                                0.95 * hi, 3.0 * hi, 10.0 * hi, 0.25)):
+        components, _ = orbits.level_components(p, level, n_loop=512)
         curves += [loop for _, _, _, loop in components]
     return curves
 

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -332,6 +333,19 @@ def test_plot_levels_figure_preset_has_no_separatrix(tmp_path):
     assert main(["--out", str(tmp_path), "--preset", "paper-figure", "plot",
                  "--targets", "levels"]) == 0
     assert (tmp_path / "plot_levels.svg").read_text().startswith("<?xml")
+
+
+def test_plot_levels_draws_each_polyline_once(tmp_path):
+    """With these coefficients the top axis critical value is the saddle's,
+    0, so four of the eight figure levels coincide: each distinct level is
+    traced and drawn once."""
+    out = _run_with_config(
+        tmp_path, {"coefficients": {"a": 0.3, "b": -0.7, "c": -1.0, "d": 0.5}},
+        "plot", "--targets", "levels")
+    polylines = re.findall(r"<polyline [^>]*>",
+                           (out / "plot_levels.svg").read_text())
+    assert len(polylines) > 2
+    assert len(polylines) == len(set(polylines))
 
 
 def test_plot_levels_separatrix_failure_is_an_error(tmp_path, monkeypatch):

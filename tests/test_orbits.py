@@ -246,9 +246,8 @@ def test_scan_candidates_cross_checked_by_action_quadrature(params):
     cands, _ = orbits.resonant_orbit_scan(params, 10.0, n_levels=12)
     assert cands
     for cand in cands[:4]:
-        loop4 = orbits.product_loop(params, cand["loop"], cand["tau"],
-                                    cand["level"], cand["m1"], cand["m2"],
-                                    n=4096)
+        loop4 = orbits.product_loop(cand["loop"], cand["level"], cand["m1"],
+                                    cand["m2"], n=4096)
         action = orbits.orbit_action(loop4)
         expected = cand["m1"] * np.pi * (1 - 2 * cand["level"]) \
             + cand["m2"] * cand["area"]
@@ -322,8 +321,7 @@ def test_polar_quadrature_matches_the_ode_trace(params):
     for levels, n_loop in ((_scan_levels(params, 64), 2048),
                            (_figure_levels(params), 512)):
         for level in levels:
-            comps, _ = orbits.level_components(params, level, max_time=1e4,
-                                               tol=1e-10, n_loop=n_loop)
+            comps, _ = orbits.level_components(params, level, n_loop=n_loop)
             for seed, _, _, _ in comps:
                 polar = orbits.polar_period_and_area(params, level, seed,
                                                      n_loop)
@@ -373,6 +371,109 @@ def test_polar_quadrature_refuses_a_loop_hugging_the_separatrix(params):
     assert orbits.polar_period_and_area(params, level, seed, 2048) is None
     tau, _, _ = orbits.planar_period_and_area(params, level, seed)
     assert tau > 2 * np.pi
+
+
+def _chunked_period_and_area(p, seed, n_loop):
+    """Oracle for the axis tracer: the whole loop integrated with no symmetry
+    (DOP853, rtol 1e-10, atol 1e-12) in chunks of 64 time units, up to its
+    first return near the seed to the line through the seed orthogonal to
+    the flow, in the flow's direction, and sampled piece by piece."""
+    from scipy.integrate import solve_ivp
+
+    seed = np.asarray(seed, float)
+    rhs = orbits.planar_rhs(p)
+    v0 = np.array(rhs(0.0, seed))
+    speed = np.linalg.norm(v0)
+    v0n = v0 / speed
+
+    def section(t, z):
+        return (z[0] - seed[0]) * v0n[0] + (z[1] - seed[1]) * v0n[1]
+
+    section.direction = 1.0
+    pieces = []
+    t0, z = 0.0, seed
+    tau = None
+    while t0 < 1e4 and tau is None:
+        sol = solve_ivp(rhs, (t0, min(t0 + 64.0, 1e4)), z, method="DOP853",
+                        rtol=1e-10, atol=1e-12, events=section,
+                        dense_output=True)
+        pieces.append(sol)
+        for te in sol.t_events[0]:
+            ze = sol.sol(te)
+            if te >= 1e-9 and np.hypot(*(ze - seed)) < 0.05 * max(1.0, speed):
+                tau = float(te)
+                break
+        t0, z = float(sol.t[-1]), sol.y[:, -1]
+    assert tau is not None
+    ts = np.arange(n_loop) / n_loop * tau
+    loop = np.empty((n_loop, 2))
+    lo = 0
+    for sol in pieces:
+        hi = max(int(np.searchsorted(ts, sol.t[-1], side="right")), lo)
+        if lo < hi:
+            loop[lo:hi] = sol.sol(ts[lo:hi]).T
+        lo = hi
+    if lo < n_loop:
+        loop[lo:] = pieces[-1].sol(ts[lo:]).T
+    return tau, orbits._loop_area(p, loop, tau), loop
+
+
+def _check_against_the_chunked_trace(p, level, seed, rel):
+    """The axis tracer's period and area agree with the chunked trace to
+    `rel`, and its samples, the mirrored half included, to 1e-7; the loop
+    starts at the seed; and R(x, y) = (x, -y) maps it onto the loop through
+    R(seed) run backwards, which for a seed on the axis is the loop itself."""
+    tau, area, loop = orbits.planar_period_and_area(p, level, seed)
+    want_tau, want_area, want_loop = _chunked_period_and_area(p, seed,
+                                                              len(loop))
+    assert tau == pytest.approx(want_tau, rel=rel)
+    assert area == pytest.approx(want_area, rel=rel)
+    assert np.max(np.abs(loop - want_loop)) <= 1e-7
+    assert np.hypot(*(loop[0] - seed)) < 1e-12
+    _, _, mirrored = orbits.planar_period_and_area(p, level, seed * [1, -1])
+    backwards = np.roll(loop[::-1], 1, axis=0) * [1.0, -1.0]
+    assert np.max(np.abs(backwards - mirrored)) <= (
+        1e-12 if seed[1] == 0.0 else 1e-7)
+
+
+def test_axis_tracer_matches_the_chunked_trace_on_the_scan_fallbacks(
+        params, monkeypatch):
+    """The 4 scan loops the quadrature refuses, all seeded on the axis."""
+    traced = []
+    trace = orbits.planar_period_and_area
+
+    def recorded(p, level, seed, **kwargs):
+        traced.append((level, seed))
+        return trace(p, level, seed, **kwargs)
+
+    monkeypatch.setattr(orbits, "planar_period_and_area", recorded)
+    for level in _scan_levels(params, 64):
+        orbits.level_components(params, level)
+    monkeypatch.undo()
+    assert len(traced) == 4
+    for level, seed in traced:
+        assert seed[1] == 0.0
+        _check_against_the_chunked_trace(params, level, seed, 1e-9)
+
+
+@pytest.mark.parametrize("p, levels", [
+    (HamiltonianParams.from_preset("paper-figure", EPS),
+     [-0.05, -0.01, 5e-4, 3e-3, 0.01, 0.1]),
+    (HamiltonianParams(epsilon=EPS, a=0.3, b=-0.7, c=-1.0, d=0.5),
+     [-0.04, -0.01, 0.05, 0.3]),
+], ids=["paper-figure", "custom"])
+def test_axis_tracer_matches_the_chunked_trace_at_every_axis_seed(p, levels):
+    """Every centre of these coefficients lies on the axis, so every loop
+    meets it.  Seeds on the y-axis start off the axis, between its two
+    crossings."""
+    off_axis = 0
+    for level in levels:
+        for seed in orbits.axis_level_seeds(p, level):
+            if np.hypot(*model.h2_grad(p, seed[0], seed[1])) < 1e-9:
+                continue
+            _check_against_the_chunked_trace(p, level, seed, 1e-8)
+            off_axis += seed[1] != 0.0
+    assert off_axis >= 4
 
 
 def test_claim_bound_on_base_orbit(params, trio):
@@ -645,7 +746,7 @@ def test_resonant_level_loop_links_outer_orbit(params, trio):
     seeds = orbits.axis_level_seeds(params, level)
     seed = seeds[np.argmax(seeds[:, 0])]
     tau, area, loop = orbits.planar_period_and_area(params, level, seed)
-    loop4 = orbits.product_loop(params, loop, tau, level, m1=3, m2=1)
+    loop4 = orbits.product_loop(loop, level, m1=3, m2=1)
     raw, lk = knots.gauss_linking(knots.ClosedCurve(loop4),
                                   knots.orbit_curve(trio[2], 1024))
     assert lk != 0
