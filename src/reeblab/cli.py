@@ -317,12 +317,10 @@ def _cmd_link(cfg, out: Path, args):
         ca = knots.orbit_curve(trio[la])
         cb = knots.orbit_curve(trio[lb])
         raw, lk = knots.gauss_linking(ca, cb, seed=cfg.seed)
-        payload["pair"] = {"curves": [la, lb], "raw": raw, "rounded": lk,
-                           "guard": abs(raw - lk)}
+        payload["pair"] = {"curves": [la, lb], "raw": raw, "rounded": lk}
     if args.self_label:
         raw, lk = knots.self_linking(p, trio[args.self_label], seed=cfg.seed)
-        payload["self"] = {"curve": args.self_label, "raw": raw, "rounded": lk,
-                           "guard": abs(raw - lk)}
+        payload["self"] = {"curve": args.self_label, "raw": raw, "rounded": lk}
     _write(out / "link.json", dumps(payload))
 
 

@@ -66,7 +66,9 @@ class BandTooNarrow(ReebLabError):
 
 
 class NoSafePole(ReebLabError):
-    """No projection pole with adequate clearance from the curves was found."""
+    """No projection pole with adequate clearance from the curves was found,
+    or the link diagram from the chosen pole is not generic: its crossing
+    sums disagree or two strands cross too close in height."""
 
 
 class OffsetTooLarge(ReebLabError):

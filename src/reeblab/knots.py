@@ -3,9 +3,15 @@
 Curves are radially normalized to the unit 3-sphere (the surface is
 star-shaped, so this is an ambient isotopy and preserves linking), sent to
 R^3 by stereographic projection from a pole kept clear of all curves, and
-paired by the Gauss linking integral
+paired by the signed crossings of the link diagram seen along z,
 
-    lk = (1 / 4 pi) oint oint  (r1 - r2) . (dr1 x dr2) / |r1 - r2|^3 .
+    lk = 1/2 sum_c eps(c)     (Rolfsen, Knots and Links, 1976, 5.D),
+
+an integer by construction.  The Gauss linking integral
+
+    lk = (1 / 4 pi) oint oint  (r1 - r2) . (dr1 x dr2) / |r1 - r2|^3
+
+stays as a quadrature oracle (gauss_linking_r3).
 
 Self-linking of a transverse unknot is the linking number with its push-off
 along a global section of the contact plane.
@@ -18,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import NoSafePole, OffsetTooLarge, RoundingUnsafe, VanishingSection
+from .errors import NoSafePole, OffsetTooLarge, VanishingSection
 from . import model
 from .model import HamiltonianParams
 from .orbits import ReebOrbit
@@ -73,8 +79,10 @@ def stereographic_project(curves, seed: int = 0, pole_tol: float = 5e-2):
     rng = np.random.default_rng(seed)
     cands = rng.standard_normal((64, 4))
     cands = _unit_sphere(cands)
-    dists = np.linalg.norm(cloud[None, :, :] - cands[:, None, :], axis=-1)
-    clearance = np.min(dists, axis=1)
+    # both are unit vectors, so |x - c|^2 = 2 - 2 x.c: the nearest point of
+    # the cloud to a candidate is the one of largest inner product
+    nearest = np.max(cloud @ cands.T, axis=0)
+    clearance = np.sqrt(np.maximum(2.0 - 2.0 * nearest, 0.0))
     best = int(np.argmax(clearance))
     if clearance[best] < pole_tol:
         raise NoSafePole(f"best pole clearance {clearance[best]:g}")
@@ -101,11 +109,12 @@ def gauss_linking_r3(c1: np.ndarray, c2: np.ndarray):
     """Raw Gauss double quadrature for two disjoint closed polylines in R^3
     (uniform parameter, endpoint omitted, centered-difference tangents).
 
-    Summed over blocks of LINK_BLOCK_ROWS rows of c1.  The triple product
-    (c1_i - c2_j) . (t1_i x t2_j) is split as (c1_i x t1_i) . t2_j -
-    t1_i . (t2_j x c2_j), two matrix products; the squared distance comes
-    from the explicit coordinate differences, so near pairs lose no digits
-    to cancellation.
+    The quadrature oracle for the crossing count of gauss_linking: no
+    command calls it.  Summed over blocks of LINK_BLOCK_ROWS rows of c1.
+    The triple product (c1_i - c2_j) . (t1_i x t2_j) is split as
+    (c1_i x t1_i) . t2_j - t1_i . (t2_j x c2_j), two matrix products; the
+    squared distance comes from the explicit coordinate differences, so near
+    pairs lose no digits to cancellation.
     """
     t1 = 0.5 * (np.roll(c1, -1, axis=0) - np.roll(c1, 1, axis=0))
     t2 = 0.5 * (np.roll(c2, -1, axis=0) - np.roll(c2, 1, axis=0))
@@ -126,18 +135,64 @@ def gauss_linking_r3(c1: np.ndarray, c2: np.ndarray):
     return total / (4.0 * np.pi)
 
 
-def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = 0):
-    """Linking number of two disjoint closed curves on the surface.
+# smallest height gap between the two strands at a diagram crossing, as the
+# push-off's clearance floor: below it the diagram is not trusted to be
+# generic
+CROSSING_GAP_FLOOR = 1e-6
 
-    Returns (raw, lk); raises RoundingUnsafe when the quadrature value is
-    farther than 0.1 from the nearest integer.
+
+def _signed_crossings(c1: np.ndarray, c2: np.ndarray):
+    """Signed crossings of two closed polygons in R^3 seen along z.
+
+    Returns (above, below, gap): the sums of sign((d1 x d2)_z) over the
+    crossings where c1 lies above c2 and where it lies below, and the
+    smallest height gap |z1 - z2| at a crossing (inf if there is none).
+    Candidate segment pairs are those whose (x, y) midpoints lie within half
+    the sum of the two longest projected segments; each is tested exactly,
+    with both segment parameters in [0, 1), so a crossing at a vertex counts
+    once.
+    """
+    d1 = np.roll(c1, -1, axis=0) - c1
+    d2 = np.roll(c2, -1, axis=0) - c2
+    mid1 = c1[:, :2] + 0.5 * d1[:, :2]
+    mid2 = c2[:, :2] + 0.5 * d2[:, :2]
+    radius = 0.5 * (np.max(np.hypot(d1[:, 0], d1[:, 1]))
+                    + np.max(np.hypot(d2[:, 0], d2[:, 1])))
+    pairs = cKDTree(mid1).sparse_distance_matrix(
+        cKDTree(mid2), radius, output_type="ndarray")
+    i, j = pairs["i"], pairs["j"]
+    r, q, w = d1[i], d2[j], c2[j] - c1[i]
+    den = r[:, 0] * q[:, 1] - r[:, 1] * q[:, 0]
+    # parallel segments (den = 0) give nan or inf and fail the test below
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (w[:, 0] * q[:, 1] - w[:, 1] * q[:, 0]) / den
+        t = (w[:, 0] * r[:, 1] - w[:, 1] * r[:, 0]) / den
+    hit = (s >= 0.0) & (s < 1.0) & (t >= 0.0) & (t < 1.0)
+    i, j, s, t = i[hit], j[hit], s[hit], t[hit]
+    height = (c1[i, 2] + s * d1[i, 2]) - (c2[j, 2] + t * d2[j, 2])
+    sign = np.sign(den[hit]).astype(int)
+    gap = float(np.min(np.abs(height))) if len(height) else np.inf
+    return int(np.sum(sign[height > 0])), int(np.sum(sign[height < 0])), gap
+
+
+def gauss_linking(c1: ClosedCurve, c2: ClosedCurve, seed: int = 0):
+    """Linking number of two disjoint closed curves on the surface, from the
+    signed crossings of their stereographic images seen along z.
+
+    The crossings where c1 lies above sum to lk, and those where it lies
+    below to -lk.  Returns (raw, lk), raw being half the difference of the
+    two sums, as a float.  Raises NoSafePole when the two sums disagree or a
+    crossing's height gap is at most CROSSING_GAP_FLOOR: the diagram from
+    this seed's pole is not generic enough to count.
     """
     _, (p1, p2) = stereographic_project([c1, c2], seed=seed)
-    raw = gauss_linking_r3(p1, p2)
-    lk = int(np.round(raw))
-    if abs(raw - lk) > 0.1:
-        raise RoundingUnsafe(f"gauss value {raw:g} not near an integer")
-    return raw, lk
+    above, below, gap = _signed_crossings(p1, p2)
+    if above != -below or gap <= CROSSING_GAP_FLOOR:
+        raise NoSafePole(
+            f"diagram from seed {seed} not generic: crossings above sum to "
+            f"{above}, below to {below}, smallest height gap {gap:g} "
+            f"(floor {CROSSING_GAP_FLOOR:g})")
+    return 0.5 * (above - below), above
 
 
 def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
@@ -160,9 +215,9 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
 
 
 def self_linking(p: HamiltonianParams, orbit: ReebOrbit, seed: int = 0):
-    """Self-linking number: Gauss linking of the orbit with its push-off
-    along the first global contact-frame section.  Returns (raw, lk) as
-    gauss_linking does."""
+    """Self-linking number: the linking number of the orbit with its
+    push-off along the first global contact-frame section.  Returns (raw,
+    lk) as gauss_linking does."""
     curve = orbit_curve(orbit)
     xbar1, _ = model.frame_sections(p, curve.samples)
     pushed = pushoff(p, curve, xbar1)

@@ -70,6 +70,13 @@ def test_criterion_3_spectrum_audit(spectra_256):
     _report("3 spectrum audit at 256 nodes", ok, "; ".join(details))
 
 
+def _linking_and_quadrature(c1, c2):
+    """The crossing count and the Gauss quadrature on the same projection."""
+    _, (p1, p2) = knots.stereographic_project([c1, c2])
+    _, lk = knots.gauss_linking(c1, c2)
+    return lk, knots.gauss_linking_r3(p1, p2)
+
+
 def test_criterion_4_linking(params, trio):
     ok = True
     details = []
@@ -77,19 +84,20 @@ def test_criterion_4_linking(params, trio):
         for j in range(i + 1, 3):
             ca = knots.orbit_curve(trio[i], 1024)
             cb = knots.orbit_curve(trio[j], 1024)
-            raw, lk = knots.gauss_linking(ca, cb)
-            ok = ok and lk == 0 and abs(raw) < 0.05
-            details.append(f"lk({trio[i].label},{trio[j].label})={raw:+.3f}")
+            lk, quad = _linking_and_quadrature(ca, cb)
+            ok = ok and lk == 0 and abs(quad - lk) < 0.05
+            details.append(f"lk({trio[i].label},{trio[j].label})={lk:+d} "
+                           f"(quadrature {quad:+.3f})")
     for orbit in trio:
         curve = knots.orbit_curve(orbit, 1024)
         xbar1, _ = model.frame_sections(params, curve.samples)
         pushed = knots.pushoff(params, curve, xbar1)
-        raw, lk = knots.gauss_linking(curve, pushed)
-        ok = ok and lk == -1 and abs(raw + 1) < 0.05
-        details.append(f"sl({orbit.label})={raw:+.3f}")
-    raw, lk = knots.gauss_linking(*knots.hopf_circles(1024))
-    ok = ok and abs(lk) == 1
-    details.append(f"hopf={lk:+d}")
+        lk, quad = _linking_and_quadrature(curve, pushed)
+        ok = ok and lk == -1 and abs(quad - lk) < 0.05
+        details.append(f"sl({orbit.label})={lk:+d} (quadrature {quad:+.3f})")
+    lk, quad = _linking_and_quadrature(*knots.hopf_circles(1024))
+    ok = ok and lk == 1 and abs(quad - lk) < 0.05
+    details.append(f"hopf={lk:+d} (quadrature {quad:+.3f})")
     _report("4 linking and self-linking", ok, "; ".join(details))
 
 

@@ -9,10 +9,11 @@ import numpy as np
 import pytest
 
 import reeblab
-from reeblab import leaves, model, orbits
+from reeblab import leaves, model, orbits, svgplot
 from reeblab.cli import main
 from reeblab.config import RunConfig
 from reeblab.errors import NoReturn
+from reeblab.model import HamiltonianParams
 
 
 def test_config_round_trip():
@@ -63,7 +64,10 @@ def test_link_command(tmp_path):
     payload = json.loads((tmp_path / "link.json").read_text())
     assert payload["pair"]["rounded"] == 0
     assert payload["self"]["rounded"] == -1
-    assert payload["self"]["guard"] < 0.05
+    # the crossing count is an integer by construction: no rounding guard
+    for entry in (payload["pair"], payload["self"]):
+        assert entry["raw"] == entry["rounded"]
+        assert "guard" not in entry
 
 
 def test_leaf_command(tmp_path):
@@ -346,6 +350,24 @@ def test_plot_levels_draws_each_polyline_once(tmp_path):
                            (out / "plot_levels.svg").read_text())
     assert len(polylines) > 2
     assert len(polylines) == len(set(polylines))
+
+
+def test_level_curves_skip_critical_values(monkeypatch):
+    """With the same coefficients the levels 0.5 hi .. 10 hi are the
+    saddle's value 0, whose seeds lie on the separatrix: no loop is traced
+    on that level."""
+    p = HamiltonianParams(epsilon=0.5, a=0.3, b=-0.7, c=-1.0, d=0.5)
+    lo = min(cp.h2_value for cp in orbits.structure_of(p).axis_points)
+    traced = []
+    components = orbits.level_components
+
+    def recorded(p, level, n_loop):
+        traced.append(level)
+        return components(p, level, n_loop=n_loop)
+
+    monkeypatch.setattr(orbits, "level_components", recorded)
+    assert svgplot.level_curves(p)
+    assert traced == [0.75 * lo, 0.45 * lo, 0.2 * lo, 0.25]
 
 
 def test_plot_levels_separatrix_failure_is_an_error(tmp_path, monkeypatch):

@@ -5,12 +5,7 @@ import pytest
 from scipy.spatial import cKDTree
 
 from reeblab import knots, model, orbits
-from reeblab.errors import (
-    NoSafePole,
-    OffsetTooLarge,
-    RoundingUnsafe,
-    VanishingSection,
-)
+from reeblab.errors import NoSafePole, OffsetTooLarge, VanishingSection
 
 
 def _gauss_linking_full(c1, c2):
@@ -32,25 +27,69 @@ def _pushed(params, orbit, n):
     return curve, knots.pushoff(params, curve, xbar1)
 
 
-@pytest.mark.parametrize("first, second, n", [
+LINK_CASES = [
     ("P1", "P2", 1024), ("P1", "P3", 1024), ("P2", "P3", 1024),
     ("P1", "push", 1024), ("P2", "push", 1024), ("P3", "push", 1024),
-    ("P2", "push", 1000), ("hopf", "hopf", 512), ("hopf", "hopf", 1024)])
+    ("P2", "push", 1000), ("hopf", "hopf", 512), ("hopf", "hopf", 1024)]
+
+
+def _case_curves(params, trio, first, second, n):
+    orbit = {o.label: o for o in trio}
+    if first == "hopf":
+        return knots.hopf_circles(n)
+    if second == "push":
+        return _pushed(params, orbit[first], n)
+    return (knots.orbit_curve(orbit[first], n),
+            knots.orbit_curve(orbit[second], n))
+
+
+@pytest.mark.parametrize("first, second, n", LINK_CASES)
 def test_blocked_linking_matches_full_quadrature(params, trio, first, second,
                                                  n):
     """The row-blocked kernel agrees with the all-pairs quadrature, on
     n = 1000 too, whose last block is short."""
-    orbit = {o.label: o for o in trio}
-    if first == "hopf":
-        curves = knots.hopf_circles(n)
-    elif second == "push":
-        curves = _pushed(params, orbit[first], n)
-    else:
-        curves = (knots.orbit_curve(orbit[first], n),
-                  knots.orbit_curve(orbit[second], n))
+    curves = _case_curves(params, trio, first, second, n)
     _, (p1, p2) = knots.stereographic_project(curves)
     assert abs(knots.gauss_linking_r3(p1, p2)
                - _gauss_linking_full(p1, p2)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+@pytest.mark.parametrize("first, second, n", LINK_CASES)
+def test_crossing_count_matches_the_quadrature(params, trio, first, second,
+                                               n, seed):
+    """The signed crossing count is the rounded Gauss quadrature on the
+    same projection, and raw is that integer exactly."""
+    curves = _case_curves(params, trio, first, second, n)
+    _, (p1, p2) = knots.stereographic_project(curves, seed=seed)
+    raw, lk = knots.gauss_linking(*curves, seed=seed)
+    assert lk == round(knots.gauss_linking_r3(p1, p2))
+    assert raw == lk
+
+
+def _pole_by_distance_array(curves, seed):
+    """Reference pole choice: the clearance of each of the 64 candidates
+    from the full candidate x point difference array."""
+    cloud = np.vstack([knots._unit_sphere(c.oriented()) for c in curves])
+    cands = knots._unit_sphere(
+        np.random.default_rng(seed).standard_normal((64, 4)))
+    dists = np.linalg.norm(cloud[None, :, :] - cands[:, None, :], axis=-1)
+    return cands[int(np.argmax(np.min(dists, axis=1)))]
+
+
+@pytest.mark.parametrize("first, second, n", [
+    case for case in LINK_CASES if case[2] == 1024] + [("orbit3d", None, 512)])
+def test_pole_matches_the_distance_array(params, trio, first, second, n):
+    """The pole chosen from one matrix product of inner products is the one
+    the full distance array chooses, at every seed 0..23, on the pairs and
+    on the three-orbit cloud of svgplot.plot_orbit_projection."""
+    if first == "orbit3d":
+        curves = [knots.orbit_curve(o, n) for o in trio]
+    else:
+        curves = _case_curves(params, trio, first, second, n)
+    for seed in range(24):
+        pole, _ = knots.stereographic_project(curves, seed=seed)
+        assert np.array_equal(pole, _pole_by_distance_array(curves, seed))
 
 
 def test_linking_memory_is_bounded_by_the_block(params, trio):
@@ -182,17 +221,22 @@ def test_pole_independence(trio):
     assert lks == {1}
 
 
+def _quadrature(curves):
+    _, (p1, p2) = knots.stereographic_project(curves)
+    return knots.gauss_linking_r3(p1, p2)
+
+
 def test_quadrature_convergence(params, trio):
     for i in range(3):
         for j in range(i + 1, 3):
             a, b = trio[i], trio[j]
-            raw_lo, _ = knots.gauss_linking(knots.orbit_curve(a, 512),
-                                            knots.orbit_curve(b, 512))
-            raw_hi, _ = knots.gauss_linking(knots.orbit_curve(a, 1024),
-                                            knots.orbit_curve(b, 1024))
+            raw_lo = _quadrature([knots.orbit_curve(a, 512),
+                                  knots.orbit_curve(b, 512)])
+            raw_hi = _quadrature([knots.orbit_curve(a, 1024),
+                                  knots.orbit_curve(b, 1024)])
             assert abs(raw_hi - raw_lo) <= 1e-3
-    h_lo, _ = knots.gauss_linking(*knots.hopf_circles(512))
-    h_hi, _ = knots.gauss_linking(*knots.hopf_circles(1024))
+    h_lo = _quadrature(knots.hopf_circles(512))
+    h_hi = _quadrature(knots.hopf_circles(1024))
     assert abs(h_hi - h_lo) <= 1e-3
 
 
@@ -228,12 +272,34 @@ def test_pushoff_guards(params, trio):
         knots.pushoff(params, curve, xbar1, offset=1e-8)
 
 
-def test_rounding_guard():
-    # two curves forced so close that the quadrature is meaningless
-    t = 2 * np.pi * np.arange(64) / 64
+def _wobbly_pair(n):
+    """c1 = {z2 = 0} and a curve whose z2 = 0.05 e^{i theta} winds once
+    around it: linked once, but close enough at n = 64 that the quadrature
+    reads 1.264."""
+    t = 2 * np.pi * np.arange(n) / n
     c1 = knots.ClosedCurve(np.stack([np.cos(t), np.sin(t), 0 * t, 0 * t], -1))
     wob = 0.5 + 0.45 * np.sin(7 * t)
     c2 = knots.ClosedCurve(np.stack([wob * np.cos(t), wob * np.sin(t),
                                      0.05 * np.cos(t), 0.05 * np.sin(t)], -1))
-    with pytest.raises((RoundingUnsafe, NoSafePole)):
+    return c1, c2
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_coarse_close_curves_link_once(seed):
+    """The crossing count is exact on 64 samples, where the quadrature is
+    off by a quarter; the quadrature at n = 2048 is the oracle."""
+    raw, lk = knots.gauss_linking(*_wobbly_pair(64), seed=seed)
+    assert lk == 1 and raw == 1.0
+    fine = _wobbly_pair(2048)
+    _, (p1, p2) = knots.stereographic_project(fine, seed=seed)
+    assert abs(knots.gauss_linking_r3(p1, p2) - 1) < 1e-3
+
+
+def test_touching_curves_raise_no_safe_pole():
+    """Two great circles sharing the points (+-1, 0, 0, 0) cross in the
+    diagram with height gap 0: the count is refused, not guessed."""
+    t = 2 * np.pi * np.arange(64) / 64
+    c1 = knots.ClosedCurve(np.stack([np.cos(t), np.sin(t), 0 * t, 0 * t], -1))
+    c2 = knots.ClosedCurve(np.stack([np.cos(t), 0 * t, np.sin(t), 0 * t], -1))
+    with pytest.raises(NoSafePole, match="seed 0 not generic.*height gap 0 "):
         knots.gauss_linking(c1, c2)
