@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     DegenerateOrbit,
@@ -99,6 +98,8 @@ def winding_interval(path: SymplecticPath) -> WindingInterval:
     Raises DegenerateOrbit when an endpoint sits within 1e-6 of an integer
     (the path's end map has 1 in its spectrum).
     """
+    from scipy.optimize import minimize_scalar
+
     n = 256
     phis = np.arange(n) / n * np.pi
     deltas = _winding_of_direction_angle(path, phis)

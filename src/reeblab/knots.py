@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import NoSafePole, OffsetTooLarge, VanishingSection
 from . import model
@@ -152,6 +151,8 @@ def _signed_crossings(c1: np.ndarray, c2: np.ndarray):
     with both segment parameters in [0, 1), so a crossing at a vertex counts
     once.
     """
+    from scipy.spatial import cKDTree
+
     d1 = np.roll(c1, -1, axis=0) - c1
     d2 = np.roll(c2, -1, axis=0) - c2
     mid1 = c1[:, :2] + 0.5 * d1[:, :2]
@@ -200,6 +201,8 @@ def pushoff(p: HamiltonianParams, curve: ClosedCurve, section: np.ndarray,
     """Displace a curve by offset along a nonvanishing contact section and
     re-project onto the energy surface; raises OffsetTooLarge if the result
     comes within 1e-6 of the curve."""
+    from scipy.spatial import cKDTree
+
     section = np.asarray(section, float)
     norms = np.linalg.norm(section, axis=-1, keepdims=True)
     if np.any(norms < 1e-12):

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     HypothesisFailure,
@@ -169,6 +168,8 @@ def integrate_profile(
     integrates a alongside (a' = pi f^2, a(0) = 0 at the midpoint).
     Raises SlowConvergence if the span is exhausted first.
     """
+    from scipy.integrate import solve_ivp
+
     asym_tol = 1e-6
     lo, hi = _interval_bounds(p, interval_id)
     if hi - lo < 10 * 1e-12:

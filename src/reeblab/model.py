@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .config import PRESETS, RunConfig
 from .errors import (
@@ -390,7 +389,8 @@ def integrate_flow(
     tol: float = 1e-10,
     n_samples: int = 200,
 ):
-    """Integrate the Reeb flow h*X_H from z0 for (signed) time T.
+    """Integrate the Reeb flow h*X_H from z0 for (signed) time T by DOP853,
+    the 8th-order pair of Hairer, Norsett & Wanner (Solving ODEs I, II.10).
 
     Parameters
     ----------
@@ -407,11 +407,13 @@ def integrate_flow(
     Raises StepUnderflow when the step controller fails (near-singular
     normalization h).
     """
+    from scipy.integrate import solve_ivp
+
     z0 = np.asarray(z0, float)
     y0 = np.concatenate([z0, np.eye(4).ravel()]) if with_variational else z0
-    sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0, rtol=tol,
-                    atol=tol, t_eval=np.linspace(0.0, T, n_samples),
-                    dense_output=False)
+    sol = solve_ivp(reeb_rhs(p, with_variational), (0.0, T), y0,
+                    method="DOP853", rtol=tol, atol=tol,
+                    t_eval=np.linspace(0.0, T, n_samples), dense_output=False)
     if sol.status == -1:
         raise StepUnderflow(f"{sol.message} (at t = {sol.t[-1]:g})")
     states = sol.y[:4].T

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import (
     HypothesisFailure,
@@ -340,6 +339,8 @@ def _trace_to_axis(p: HamiltonianParams, z0, sense: float, horizon: float,
     NoReturn, `what` and the time elapsed, when the flow does not close
     within `horizon`.
     """
+    from scipy.integrate import solve_ivp
+
     def closing(t, z):
         return z[1]
 
