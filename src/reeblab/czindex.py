@@ -288,7 +288,8 @@ def _path_value_lifted(path: SymplecticPath, tau):
     base = path.value(frac)
     end = path.end_matrix()
     out = np.array(base)
-    for jj in np.unique(j):
+    # a set, not np.unique, which imports numpy.ma at first call
+    for jj in set(j.tolist()):
         if jj == 0:
             continue
         powm = np.linalg.matrix_power(end, int(jj))

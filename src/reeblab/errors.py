@@ -80,7 +80,9 @@ class OutsideEnergyCap(ReebLabError):
 
 
 class SlowConvergence(ReebLabError):
-    """A profile failed to reach its asymptote within the arc-length span."""
+    """A leaf profile's quadrature has not converged: the full Chebyshev
+    rule and its nested half disagree beyond tolerance, or Newton does not
+    place the uniform s grid on the quadrature."""
 
 
 class VanishingSection(ReebLabError):

@@ -1,4 +1,4 @@
-"""Explicit foliation leaves from the rotation-symmetric profile ODE.
+"""Explicit foliation leaves from the rotation-symmetric profile equation.
 
 Leaves of the transverse foliation that meet the symmetry axis of the
 planar factor are graphs over axis intervals: the surface map
@@ -17,6 +17,12 @@ splits into four admissible intervals separated by the planar critical
 points and the energy-cap roots; each interval yields one leaf family
 member:  a disk capping off at the hyperbolic orbit, the rigid cylinders,
 and a plane asymptotic to the top binding orbit.
+
+The equation is scalar and autonomous, so a profile is two quadratures,
+s(g) = int dg / G and a(g) = int pi f^2 / G dg, inverted on a uniform s
+grid; G has a simple zero at each end of its interval, and a logistic
+change of variable cancels both, so Clenshaw-Curtis converges
+geometrically.
 """
 
 from __future__ import annotations
@@ -37,6 +43,12 @@ from .czindex import PAIRING_TOL, analytic_monodromy_oracle, lie_pairing
 from .model import HamiltonianParams
 
 INTERVALS = ("disk_to_P2", "cyl_P2_P1", "cyl_P3_P1", "plane_to_P3")
+
+# Chebyshev points of the profile quadrature (an odd count, so that every
+# other one is the nested rule), and the largest gap allowed between the two
+# rules in s or a at their shared points
+PROFILE_NODES = 257
+PROFILE_TOL = 1e-8
 
 # role each explicit leaf plays in the foliation pattern
 LEAF_ROLES = {
@@ -84,8 +96,9 @@ def f_squared(p: HamiltonianParams, g):
     return 1.0 - g**4 - 2.0 * e * p.a * g**3 - 2.0 * e * e * p.c * g * g
 
 
-def profile_rhs(p: HamiltonianParams, g: float) -> float:
-    """Right-hand side G(g) of the profile equation g' = G(g).
+def profile_rhs(p: HamiltonianParams, g):
+    """Right-hand side G(g) of the profile equation g' = G(g), on a float
+    or elementwise on an array.
 
     The denominator carries the half from the Liouville normalization
     lambda0 = (1/2) sum(x dy - y dx): with the frame sections taken in
@@ -94,9 +107,11 @@ def profile_rhs(p: HamiltonianParams, g: float) -> float:
     f > 0) are unchanged by the normalization.
     """
     f2 = f_squared(p, g)
-    if f2 < -1e-12:
-        raise OutsideEnergyCap(f"f^2 = {f2:g} < 0 at g = {g:g}")
-    f2 = max(f2, 0.0)
+    if np.any(f2 < -1e-12):
+        i = np.argmin(f2)
+        raise OutsideEnergyCap(f"f^2 = {np.min(f2):g} < 0 at g = "
+                               f"{np.ravel(g)[i]:g}")
+    f2 = np.maximum(f2, 0.0)
     q, _ = model.h2_grad(p, g, 0.0)
     h = 2.0 / (f2 + g * q)
     den = 1.0 + 0.5 * h * (q - g) * q
@@ -155,79 +170,149 @@ def _asymptote_label(p: HamiltonianParams, g_end: float, orbit_map) -> str:
     return "unknown"
 
 
+def _dct1(x):
+    """Type-I discrete cosine transform along the last axis, by FFT:
+    y_j = x_0 + (-1)^j x_n + 2 sum_{k=1}^{n-1} x_k cos(pi j k / n)."""
+    return np.fft.rfft(np.concatenate([x, x[..., -2:0:-1]], axis=-1)).real
+
+
+def _cheb_coeffs(values):
+    """Chebyshev coefficients of the interpolant through `values` at the
+    points cos(pi k / n), k = 0..n, along the last axis."""
+    n = values.shape[-1] - 1
+    c = _dct1(values) / n
+    c[..., [0, n]] *= 0.5
+    return c
+
+
+def _cheb_values(coeffs):
+    """Values at the points cos(pi k / n) of a Chebyshev series of degree
+    n + 1, as _cheb_integral returns: T_{n+1} equals T_{n-1} there, and
+    the rest is the inverse of _cheb_coeffs."""
+    n = coeffs.shape[-1] - 2
+    c = coeffs[..., :-1].copy()
+    c[..., n - 1] += coeffs[..., n + 1]
+    c[..., [0, n]] *= 2.0
+    return 0.5 * _dct1(c)
+
+
+def _cheb_integral(c, x0, scale):
+    """Coefficients of scale times the antiderivative, zero at x0, of the
+    Chebyshev series c (last axis): the integral of T_k is
+    T_{k+1} / (2 (k + 1)) - T_{k-1} / (2 (k - 1)), and T_1 for T_0."""
+    m = c.shape[-1] - 1
+    c = np.concatenate([c, np.zeros(c.shape[:-1] + (2,))], axis=-1)
+    c[..., 0] *= 2.0
+    out = np.zeros(c.shape[:-1] + (m + 2,))
+    out[..., 1:] = (c[..., :m + 1] - c[..., 2:]) / (2.0 * np.arange(1, m + 2))
+    out[..., 0] = -(out @ np.cos(np.arange(m + 2) * np.arccos(x0)))
+    return scale * out
+
+
+def _barycentric(x, nodes, values):
+    """Values at x of the polynomials through `values` (rows) at the
+    Chebyshev points `nodes` = cos(pi k / n), by the barycentric formula."""
+    w = (-1.0) ** np.arange(len(nodes))
+    w[[0, -1]] *= 0.5
+    q = np.subtract.outer(x, nodes)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.divide(w, q, out=q)
+        sums = q @ np.vstack([values, np.ones(len(nodes))]).T
+        out = sums[:, :-1] / sums[:, -1:]
+    # a point on a node divides by zero: take the node's value
+    hit = ~np.all(np.isfinite(out), axis=1)
+    out[hit] = values.T[np.argmax(np.abs(q[hit]), axis=1)]
+    return out.T
+
+
 def integrate_profile(
     p: HamiltonianParams,
     interval_id: str,
-    s_span: float = 200.0,
     n_s: int = 257,
 ) -> LeafProfile:
-    """Solve the profile equation on one admissible interval.
+    """Solve the profile equation on one admissible interval by quadrature.
 
-    Starts from the interval midpoint and integrates both ways until g is
-    within 1e-6 of an endpoint, then resamples on a uniform arc grid and
-    integrates a alongside (a' = pi f^2, a(0) = 0 at the midpoint).
-    Raises SlowConvergence if the span is exhausted first.
+    The equation is autonomous and scalar, so s(g) = int dg / G and
+    a(g) = int pi f^2 / G dg from the interval midpoint, where s = a = 0.
+    In v, with g = lo + (hi - lo) / (1 + e^-v), the integrands
+    ds/dv = (g - lo)(hi - g) / ((hi - lo) G) and da/dv = pi f^2 ds/dv are
+    smooth and bounded, since G has a simple zero at each end; both are
+    interpolated at PROFILE_NODES Chebyshev points in v and integrated
+    as Chebyshev series.  The profile ends within 1e-6 of an orbit end,
+    and where f^2 = 1e-7 at an energy-cap end.  Newton with the exact
+    ds/dv then carries each point of a uniform n_s-point s grid to its v.
+    Raises SlowConvergence when the rule on every other node disagrees
+    with the full rule by more than PROFILE_TOL in s or a, or when eight
+    Newton steps leave the grid off the quadrature.
     """
-    from scipy.integrate import solve_ivp
-
     asym_tol = 1e-6
     lo, hi = _interval_bounds(p, interval_id)
     if hi - lo < 10 * 1e-12:
         raise ValueError(f"interval endpoints {lo:g} and {hi:g} not separated")
-    g_mid = 0.5 * (lo + hi)
-    slope = profile_rhs(p, g_mid)
+    trio = {o.label: o for o in orbits.special_orbits(p)}
+    width = hi - lo
+    slope = profile_rhs(p, 0.5 * (lo + hi))
     # the flow runs monotonically toward one endpoint in each s direction
     fwd_target, bwd_target = (lo, hi) if slope < 0 else (hi, lo)
 
-    # plain-float arithmetic, as in model.reeb_rhs: the same bits as on
-    # numpy scalars, at a fraction of the cost per call
-    def rhs(s, y):
-        g, _ = y.tolist()
-        return (profile_rhs(p, g), np.pi * max(f_squared(p, g), 0.0))
+    def inset(end):
+        # orbit ends stop at |g - end| = asym_tol; energy-cap ends stop on
+        # f^2 = asym_tol / 10 so the residual puncture mass stays below
+        # tolerance, found by Newton on the quartic from the root
+        if abs(float(f_squared(p, end))) >= 1e-9:
+            return asym_tol
+        g = end
+        for _ in range(4):
+            q, _ = model.h2_grad(p, g, 0.0)
+            g += (f_squared(p, g) - 0.1 * asym_tol) / (2.0 * q)
+        return abs(g - end)
 
-    def make_event(target):
-        # orbit ends stop on |g - endpoint|; energy-cap ends stop on f^2
-        # directly so the residual puncture mass stays below tolerance
-        cap_end = abs(float(f_squared(p, target))) < 1e-9
+    d_lo, d_hi = inset(lo), inset(hi)
+    v_lo = np.log(d_lo / (width - d_lo))
+    v_hi = np.log((width - d_hi) / d_hi)
+    v_mid, v_rad = 0.5 * (v_lo + v_hi), 0.5 * (v_hi - v_lo)
 
-        if cap_end:
-            def event(s, y):
-                return f_squared(p, float(y[0])) - 0.1 * asym_tol
-        else:
-            def event(s, y):
-                return abs(float(y[0]) - target) - asym_tol
-        event.terminal = True
-        event.direction = -1.0
-        return event
+    def rates(x):
+        g = lo + width / (1.0 + np.exp(-(v_mid + v_rad * x)))
+        f2 = np.maximum(f_squared(p, g), 0.0)
+        ds = (g - lo) * (hi - g) / (width * profile_rhs(p, g))
+        return g, f2, np.stack([ds, np.pi * f2 * ds])
 
-    sols = {}
-    for sign, target in ((+1.0, fwd_target), (-1.0, bwd_target)):
-        sol = solve_ivp(rhs, (0.0, sign * s_span), [g_mid, 0.0],
-                        rtol=1e-10, atol=1e-10, dense_output=True,
-                        events=make_event(target))
-        if not len(sol.t_events[0]):
-            raise SlowConvergence(
-                f"{interval_id}: |g - {target:g}| > {asym_tol:g} after "
-                f"s = {sign * s_span:g}")
-        sols[sign] = (sol, float(sol.t_events[0][0]))
+    n = PROFILE_NODES - 1
+    nodes = np.cos(np.pi * np.arange(n + 1) / n)
+    _, _, samples = rates(nodes)
+    # s and a as Chebyshev series in x = (v - v_mid) / v_rad, zero at v = 0,
+    # by the full rule and by the nested rule on every other node
+    x0 = -v_mid / v_rad
+    at_nodes, at_half = (_cheb_values(_cheb_integral(_cheb_coeffs(y), x0, v_rad))
+                         for y in (samples, samples[:, ::2]))
+    gap = float(np.max(np.abs(at_nodes[:, ::2] - at_half)))
+    if gap > PROFILE_TOL:
+        raise SlowConvergence(
+            f"{interval_id}: the {n + 1}- and {n // 2 + 1}-node quadratures "
+            f"differ by {gap:.3g} > {PROFILE_TOL:g}")
 
-    s_hi = sols[+1.0][1]
-    s_lo = sols[-1.0][1]
-    s_grid = np.linspace(s_lo, s_hi, n_s)
-    out = np.empty((n_s, 2))
-    neg = s_grid < 0
-    if np.any(neg):
-        out[neg] = sols[-1.0][0].sol(s_grid[neg]).T
-    if np.any(~neg):
-        out[~neg] = sols[+1.0][0].sol(s_grid[~neg]).T
-    g = out[:, 0]
-    a = out[:, 1]
-    f = np.sqrt(np.maximum(f_squared(p, g), 0.0))
-    trio = {o.label: o for o in orbits.special_orbits(p)}
+    # s is monotone in x: a uniform grid over its range, each point carried
+    # to its x from linear interpolation between the nodes
+    order = np.argsort(at_nodes[0])
+    s_grid = np.linspace(at_nodes[0, order[0]], at_nodes[0, order[-1]], n_s)
+    x = np.interp(s_grid, at_nodes[0, order], nodes[order])
+    for _ in range(8):
+        s, a = _barycentric(x, nodes, at_nodes)
+        miss = s - s_grid
+        if np.max(np.abs(miss)) <= 1e-13 * (s_grid[-1] - s_grid[0]):
+            break
+        _, _, (ds, _) = rates(x)
+        x = np.clip(x - miss / (v_rad * ds), -1.0, 1.0)
+    else:
+        raise SlowConvergence(
+            f"{interval_id}: s grid off the quadrature by "
+            f"{np.max(np.abs(miss)):.3g} after 8 Newton steps")
+    g, f2, _ = rates(x)
     return LeafProfile(
         s=s_grid,
         g=g,
-        f=f,
+        f=np.sqrt(f2),
         a=a,
         asymptote_neg=_asymptote_label(p, bwd_target, trio),
         asymptote_pos=_asymptote_label(p, fwd_target, trio),

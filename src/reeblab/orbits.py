@@ -153,7 +153,8 @@ def find_critical_points(p: HamiltonianParams):
     if disc >= 0.0:
         s = np.sqrt(disc)
         axis += [e * (-3.0 * p.a + s) / 4.0, e * (-3.0 * p.a - s) / 4.0]
-    pts = [(x, 0.0) for x in np.unique(axis)]
+    # sorted(set()), not np.unique, which imports numpy.ma at first call
+    pts = [(x, 0.0) for x in sorted(set(axis))]
     coeffs = [3.0 * (p.a - p.b), e * (2.0 * p.c - 2.0 * p.d - p.b * p.b),
               -e * e * p.b * p.d]
     circle = None
@@ -164,7 +165,7 @@ def find_critical_points(p: HamiltonianParams):
             circle = (-0.5 * e * p.b + 0.0, float(np.sqrt(r2)))
     else:
         roots = np.roots(coeffs)
-        for x in np.unique(roots[roots.imag == 0.0].real):
+        for x in sorted(set(roots[roots.imag == 0.0].real)):
             y2 = -(e * p.b * x + e * e * p.d) - x * x
             if y2 > 0.0:
                 pts += [(x, -np.sqrt(y2)), (x, np.sqrt(y2))]

@@ -1,9 +1,10 @@
 """Which commands load scipy.
 
-The binding orbits, their monodromy and the asymptotic spectra are closed
-forms or numpy calls, so importing reeblab and running those commands must
-not import scipy; only the calls that integrate, minimise or build a k-d
-tree import it, at the call.
+The binding orbits, their monodromy, the asymptotic spectra and the leaf
+profiles are closed forms, quadratures or numpy calls, so importing reeblab
+and running those commands must not import scipy; only the calls that
+integrate, minimise or build a k-d tree import it, at the call.  Nor does
+the validated model import numpy.ma, which costs every command its start-up.
 """
 
 import json
@@ -27,15 +28,21 @@ print(json.dumps({"code": code, "scipy": sorted(
 """
 
 
-def _fresh_run(argv):
-    """Run cli.main on argv (or only import reeblab, for None) in a fresh
-    interpreter; return its exit code and the scipy modules it loaded."""
+def _fresh(code, *args):
+    """Run `code` with `args` in a fresh interpreter that imports reeblab
+    from this checkout; return its last line of output."""
     src = str(Path(reeblab.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.splitlines()[-1])
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True)
+    return proc.stdout.splitlines()[-1]
+
+
+def _fresh_run(argv):
+    """Run cli.main on argv (or only import reeblab, for None) in a fresh
+    interpreter; return its exit code and the scipy modules it loaded."""
+    result = json.loads(_fresh(CHILD, json.dumps(argv)))
     return result["code"], result["scipy"]
 
 
@@ -43,9 +50,10 @@ def _fresh_run(argv):
     (None, None),
     (["orbits"], 0),
     (["spectrum", "--orbit", "P1"], 0),
+    (["leaf", "--which", "plane_to_P3"], 0),
     # an axis point above the energy cap: StructureMismatch before any trace
     (["--epsilon", "2", "homoclinic"], 1),
-], ids=["import", "orbits", "spectrum", "structure-failure"])
+], ids=["import", "orbits", "spectrum", "leaf", "structure-failure"])
 def test_command_loads_no_scipy(tmp_path, command, code):
     argv = None if command is None else ["--out", str(tmp_path), *command]
     got, loaded = _fresh_run(argv)
@@ -58,3 +66,15 @@ def test_integrating_command_loads_scipy(tmp_path):
     got, loaded = _fresh_run(["--out", str(tmp_path), "cz", "--orbit", "P2"])
     assert got == 0
     assert "scipy.integrate" in loaded
+
+
+def test_validated_model_loads_no_numpy_ma():
+    assert _fresh("""
+import sys
+import reeblab
+from reeblab import orbits
+p = reeblab.HamiltonianParams.from_preset("validated", 0.5)
+orbits.validate_structure(p)
+orbits.special_orbits(p)
+print("numpy.ma" in sys.modules)
+""") == "False"

@@ -94,9 +94,30 @@ def test_profiles_monotone_with_correct_asymptotes(params):
                              - leaves.f_squared(params, prof.g))) < 1e-14
 
 
-def test_profile_slow_convergence_guard(params):
-    with pytest.raises(SlowConvergence):
-        leaves.integrate_profile(params, "plane_to_P3", s_span=0.5)
+def test_profile_slow_convergence_guard(params, monkeypatch):
+    # on 9 nodes the nested 5-node rule is far off the full one
+    monkeypatch.setattr(leaves, "PROFILE_NODES", 9)
+    with pytest.raises(SlowConvergence, match="9- and 5-node quadratures"):
+        leaves.integrate_profile(params, "plane_to_P3")
+
+
+def test_profile_has_no_arc_length_horizon():
+    """At eps 0.02 the critical points crowd the origin and G is small
+    between them, so s runs past 1000 before g is within 1e-6 of an orbit
+    end; the quadrature has no horizon and still ends where it should."""
+    p = model.HamiltonianParams.from_preset("validated", 0.02)
+    orbits.validate_structure(p)
+    trio = {o.label: o.z2_datum[0] for o in orbits.special_orbits(p)}
+    spans = []
+    for iid in INTERVALS:
+        prof = leaves.integrate_profile(p, iid)
+        spans.append(prof.s[-1] - prof.s[0])
+        assert abs(abs(prof.g[-1] - trio[prof.asymptote_pos]) - 1e-6) < 1e-12
+        if prof.asymptote_neg == "removable":
+            assert abs(leaves.f_squared(p, prof.g[0]) - 1e-7) < 1e-12
+        else:
+            assert abs(abs(prof.g[0] - trio[prof.asymptote_neg]) - 1e-6) < 1e-12
+    assert max(spans) > 1000.0
 
 
 def test_leaf_samples_on_surface(params):
@@ -262,19 +283,40 @@ def test_meridian_guard_rejects_an_asymmetric_grid(params):
         leaves.leaf_diagnostics(params, grid)
 
 
-def test_profile_in_plain_floats_matches_numpy_scalars(params, monkeypatch):
-    """The profile's right-hand side and events run on plain floats; fed
-    numpy scalars instead, the integration gives the same bits."""
-    plain = {iid: leaves.integrate_profile(params, iid) for iid in INTERVALS}
-    for name in ("profile_rhs", "f_squared"):
-        fn = getattr(leaves, name)
-        monkeypatch.setattr(leaves, name, lambda p, g, fn=fn: fn(
-            p, np.asarray(g, float)[()]))
-    for iid in INTERVALS:
-        scalar = leaves.integrate_profile(params, iid)
-        assert np.array_equal(scalar.g, plain[iid].g), iid
-        assert np.array_equal(scalar.a, plain[iid].a), iid
-        assert np.array_equal(scalar.s, plain[iid].s), iid
+def dop853_profile(p, iid, prof):
+    """Oracle for integrate_profile: g' = G(g) and a' = pi f^2 from the
+    interval midpoint, where s = a = 0, by DOP853 at rtol 1e-13 out to each
+    point of the profile's own s grid."""
+    from scipy.integrate import solve_ivp
+
+    g_mid = 0.5 * sum(leaves._interval_bounds(p, iid))
+
+    def rhs(s, y):
+        g = float(y[0])
+        return [leaves.profile_rhs(p, g),
+                np.pi * max(leaves.f_squared(p, g), 0.0)]
+
+    out = np.empty((len(prof.s), 2))
+    for side in (prof.s < 0.0, prof.s >= 0.0):
+        idx = np.flatnonzero(side)[np.argsort(np.abs(prof.s[side]))]
+        sol = solve_ivp(rhs, (0.0, prof.s[idx[-1]]), [g_mid, 0.0],
+                        method="DOP853", rtol=1e-13, atol=1e-13,
+                        t_eval=prof.s[idx])
+        out[idx] = sol.y.T
+    return out[:, 0], out[:, 1]
+
+
+def test_profile_matches_dop853_oracle():
+    """The quadrature profile agrees with a tight ODE solution on its own s
+    grid to 1e-10 in g and a, on every interval at eps 0.3, 0.5 and 0.7."""
+    for eps in (0.3, 0.5, 0.7):
+        p = model.HamiltonianParams.from_preset("validated", eps)
+        orbits.validate_structure(p)
+        for iid in INTERVALS:
+            prof = leaves.integrate_profile(p, iid)
+            g, a = dop853_profile(p, iid, prof)
+            assert np.max(np.abs(prof.g - g)) <= 1e-10, (eps, iid)
+            assert np.max(np.abs(prof.a - a)) <= 1e-10, (eps, iid)
 
 
 def test_asymptotic_windings_all_one(atlas):
