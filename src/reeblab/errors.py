@@ -80,9 +80,10 @@ class OutsideEnergyCap(ReebLabError):
 
 
 class SlowConvergence(ReebLabError):
-    """A leaf profile's quadrature has not converged: the full Chebyshev
-    rule and its nested half disagree beyond tolerance, or Newton does not
-    place the uniform s grid on the quadrature."""
+    """A nested quadrature has not converged: a rule and its half disagree
+    beyond tolerance (a leaf profile's Chebyshev rule, a level loop's
+    Gauss-Legendre arcs), or Newton does not place a leaf's uniform s grid
+    on its quadrature."""
 
 
 class VanishingSection(ReebLabError):

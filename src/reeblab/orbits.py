@@ -4,16 +4,18 @@ The planar factor of the Hamiltonian has (for the validated coefficients)
 exactly three critical points on the symmetry axis; over each sits a circle
 of the full flow, giving the three binding orbits.  This module finds and
 classifies the critical points, builds the orbits with their closed-form
-periods, measures actions of general product loops, traces each component
-of a planar level set once, scans resonant levels for low-action
-competitors, and traces the saddle separatrix whose product with the base
-circle is the homoclinic set.
+periods, measures actions of general product loops, builds each component
+of a planar level set once from closed-form arcs, scans resonant levels for
+low-action competitors, and traces the saddle separatrix whose product with
+the base circle is the homoclinic set.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
@@ -24,6 +26,7 @@ from .errors import (
     NotClosed,
     NotHyperbolic,
     NotStarShaped,
+    SlowConvergence,
     StructureMismatch,
 )
 from . import model
@@ -366,17 +369,19 @@ def planar_period_and_area(
     level: float,
     seed,
     max_time: float = 1e4,
-    n_loop: int = 2048,
 ):
     """Hamiltonian-time period and enclosed signed area of the planar loop
-    of H2 through `seed` on the given level.
+    of H2 through `seed` on the given level, by DOP853: the reference that
+    level_components' closed-form arcs are tested against.
 
-    Return (tau, area, loop).  The loop meets the axis y = 0 at two times
-    t_a < t_b, half its period apart, so tau = 2 (t_b - t_a), and the
-    samples after t_b are the mirror images of those before.  From a seed
-    on the axis t_a = 0; from a seed off it, t_a is the first crossing.  Raises NoReturn with the elapsed horizon when the loop
-    does not close on the axis within max_time (near-separatrix divergence,
-    or a loop about an off-axis well).
+    Return (tau, area, loop), loop 2048 samples at equal time steps from
+    the seed.  The loop meets the axis y = 0 at two times t_a < t_b, half
+    its period apart, so tau = 2 (t_b - t_a), and the samples after t_b
+    are the mirror images of those before.  From a seed on the axis
+    t_a = 0; from a seed off it, t_a is the first crossing.  Raises
+    NoReturn with the elapsed horizon when the loop does not close on the
+    axis within max_time (near-separatrix divergence, or a loop about an
+    off-axis well).
     """
     seed = np.asarray(seed, float)
     h_seed = float(model.h2_eval(p, seed[0], seed[1]))
@@ -398,7 +403,7 @@ def planar_period_and_area(
     if on_axis:
         t_a = 0.0
     tau = 2.0 * (t_b - t_a)
-    ts = np.arange(n_loop) / n_loop * tau
+    ts = np.arange(2048) / 2048 * tau
     loop = half(np.minimum(ts, 2.0 * t_b - ts)).T
     loop[ts > t_b, 1] *= -1.0
     return tau, _loop_area(p, loop, tau), loop
@@ -413,123 +418,263 @@ def _loop_area(p: HamiltonianParams, loop: np.ndarray, tau: float) -> float:
     return float(np.mean(0.5 * (loop[:, 0] * q + loop[:, 1] * pp)) * tau)
 
 
-def _polish_radii(p: HamiltonianParams, level: float, z0, c, s, r):
-    """Vectorised Newton in r for H2(z0 + r (c, s)) = level from the guesses
-    r, until every step is below 1e-13 |z| or after 20 steps.  Returns (r,
-    radial speed (z - z0) . grad H2, residual H2 - level)."""
-    z0_norm = math.hypot(z0[0], z0[1])
-    for _ in range(20):
-        x, y = z0[0] + r * c, z0[1] + r * s
-        q, pp = model.h2_grad(p, x, y)
-        step = (model.h2_eval(p, x, y) - level) / (c * q + s * pp)
-        r = r - step
-        if np.max(np.abs(step) - 1e-13 * (r + z0_norm)) <= 0.0:
-            break
-    x, y = z0[0] + r * c, z0[1] + r * s
-    q, pp = model.h2_grad(p, x, y)
-    return r, r * (c * q + s * pp), model.h2_eval(p, x, y) - level
+# Gauss-Legendre nodes in phi on every arc piece; the rule on half as many
+# nodes must agree with it to ARC_RTOL, or SlowConvergence is raised
+ARC_NODES = 64
+ARC_RTOL = 1e-12
 
 
-def _fourier_resample(r: np.ndarray, n: int) -> np.ndarray:
-    """The trigonometric interpolant of the periodic samples r at n >= len(r)
-    equal steps from the same start."""
-    m = len(r)
-    spec = np.fft.rfft(r)
-    if m % 2 == 0:
-        spec[-1] *= 0.5  # the Nyquist term splits into +m/2 and -m/2
-    out = np.zeros(n // 2 + 1, complex)
-    out[:len(spec)] = spec
-    return np.fft.irfft(out, n) * (n / m)
+@functools.lru_cache(maxsize=None)
+def _arc_rule(n: int):
+    """The n-node Gauss-Legendre rule on phi in [0, pi], built at first use
+    (leggauss costs O(n^3)): sin^2(phi/2) at the nodes, symmetric so that
+    cos^2(phi/2) is the same reversed; the weights; and the matrix taking
+    dt/dphi at the nodes to t, the integral from 0 of its Legendre
+    interpolant, at 16n + 1 equally spaced phi.  That matrix is built by
+    einsum and applied one piece at a time: a multithreaded BLAS matrix
+    product of either size took 100 times as long as a single-threaded one
+    on a 2-vCPU host."""
+    xi, w = np.polynomial.legendre.leggauss(n)
+    k = np.arange(n)
+    vander = np.polynomial.legendre.legvander
+    at = vander(np.linspace(-1.0, 1.0, 16 * n + 1), n)
+    # int_{-1}^{xi} P_k = (P_{k+1} - P_{k-1}) / (2k + 1), and xi + 1 for k = 0
+    prim = np.column_stack([at[:, 1] + at[:, 0],
+                            (at[:, 2:] - at[:, :-2]) / (2.0 * k[1:] + 1.0)])
+    coef = (k + 0.5)[:, None] * vander(xi, n - 1).T * w
+    return (np.sin(0.25 * np.pi * (1.0 + xi)) ** 2, 0.5 * np.pi * w,
+            0.5 * np.pi * np.einsum("gk,kn->gn", prim, coef))
 
 
-def polar_period_and_area(p: HamiltonianParams, level: float, seed, n_loop: int):
-    """Hamiltonian-time period and signed area of the planar loop of H2
-    through `seed` by trapezoid quadrature in polar coordinates, or None
-    when the quadrature cannot certify its result.
+def _arc_values(p: HamiltonianParams, rows: np.ndarray, s2, c2):
+    """x, Y_s and D at sin^2(phi/2) = s2, cos^2(phi/2) = c2 on arc pieces
+    x = x0 + (x1 - x0) sin^2(phi/2), a row each: (x0, x1, branch s, D's
+    leading coefficient, the roots of A and of D, padded with nan to 7).
 
-    About the nearest non-saddle critical point z0 the loop is r(theta) with
-    H2(z0 + r e(theta)) = level; then tau = loop integral of
-    r^2 / ((z - z0) . grad H2) dtheta and area = 1/2 loop integral of
-    r^2 dtheta, smooth periodic integrands on which the trapezoid rule
-    converges geometrically.  Newton continuation on 64 angles from the
-    seed's angle solves for r, an FFT carries it to N = n_loop nodes, and
-    Newton polishes every node.  Certified means: every residual is at
-    rounding level, (z - z0) . grad H2 keeps one sign, the continuation
-    comes back to r = |seed - z0| at the seed's angle to 1e-12, and the
-    N-node and N/2-node periods agree to 1e-12 relative; N doubles up to
-    16 n_loop until they do.
-
-    Returns (tau, area, loop) like planar_period_and_area: loop holds
-    n_loop equal-angle nodes from the seed's angle in the flow direction,
-    and area is signed by that direction.
+    A factor x - r of A or D is taken from the nearer end, as
+    (x1 - x0) s2 + (x0 - r) or (x1 - r) - (x1 - x0) c2, and Y_s on the
+    branch that vanishes as 2A / Y_-s: both keep their relative accuracy up
+    to the ends, where they vanish, and next to a root just past an end.
     """
-    seed = np.asarray(seed, float)
-    centres = [cp.location for cp in structure_of(p).points
-               if cp.hessian_signature != "saddle"]
-    if not centres:
-        return None
-    z0 = min(centres, key=lambda c: np.hypot(*(seed - c)))
-    z0 = (float(z0[0]), float(z0[1]))
-    z0_norm = math.hypot(z0[0], z0[1])
-    dx, dy = float(seed[0]) - z0[0], float(seed[1]) - z0[1]
-    r_seed = math.hypot(dx, dy)
-    q, pp = model.h2_grad(p, float(seed[0]), float(seed[1]))
-    speed = dx * q + dy * pp
-    if r_seed == 0.0 or speed == 0.0:
-        return None
-    # the angle advances with the flow when the radial speed is positive
-    sense = math.copysign(1.0, speed)
-    theta0 = math.atan2(dy, dx)
+    x0, x1, s, lead = rows[:, :4].real.T
+    span = (x1 - x0)[:, None]
+    r = rows[:, None, 4:]
+    lo, hi = x0[:, None, None] - r, x1[:, None, None] - r
+    f = np.where(np.abs(lo) <= np.abs(hi), (span * s2)[..., None] + lo,
+                 hi - (span * c2)[..., None])
+    f = np.where(np.isnan(r), 1.0, f)
+    x = x0[:, None] + span * s2
+    b = x * (x + p.epsilon * p.b) + p.epsilon ** 2 * p.d
+    d = lead[:, None] * f[..., 4:].prod(axis=-1).real
+    root = np.sqrt(np.maximum(d, 0.0))
+    # -B -+ sqrt(D), whichever adds: Y_+ where B < 0, else Y_-
+    q = np.where(b < 0.0, root - b, -root - b)
+    y2 = np.where((s[:, None] > 0) == (b < 0.0), q,
+                  f[..., :4].prod(axis=-1).real / q)
+    return x, y2, d
 
-    # continuation in plain floats: an Euler predictor along
-    # dr/dtheta = r^2 (e_perp . grad H2) / radial speed, a Newton corrector,
-    # once round back to the seed's angle
-    n_coarse = 64
-    h = sense * 2.0 * math.pi / n_coarse
-    coarse = []
-    r = r_seed
-    for k in range(n_coarse + 1):
-        c, s = math.cos(theta0 + k * h), math.sin(theta0 + k * h)
-        for _ in range(20):
-            x, y = z0[0] + r * c, z0[1] + r * s
-            q, pp = model.h2_grad(p, x, y)
-            step = (model.h2_eval(p, x, y) - level) / (c * q + s * pp)
-            r -= step
-            if abs(step) <= 1e-13 * (r + z0_norm):
-                break
-        else:
-            return None
-        radial = r * (c * q + s * pp)
-        if not (r > 0.0 and radial * sense > 0.0):
-            return None
-        coarse.append(r)
-        r += h * r * r * (s * q - c * pp) / radial
-    if abs(coarse[-1] - r_seed) > 1e-12:
-        return None
 
-    n = n_loop
-    r = _fourier_resample(np.array(coarse[:-1]), n)
-    while n <= 16 * n_loop:
-        theta = theta0 + sense * 2.0 * np.pi * np.arange(n) / n
-        c, s = np.cos(theta), np.sin(theta)
-        r, radial, resid = _polish_radii(p, level, z0, c, s, r)
-        # the size of H2's terms at |z| <= r + |z0|, so 1e-14 of it is
-        # rounding level
-        scale = 0.5 * (r + z0_norm) ** 4 + abs(level)
-        if not (np.all(np.abs(resid) <= 1e-14 * scale)
-                and np.all(r > 0.0) and np.all(radial * sense > 0.0)):
-            return None
-        dt = r * r / np.abs(radial)
-        tau = 2.0 * np.pi * float(np.mean(dt))
-        if abs(tau - 2.0 * np.pi * float(np.mean(dt[::2]))) <= 1e-12 * tau:
-            area = float(sense * np.pi * np.mean(r * r))
-            stride = n // n_loop
-            loop = np.stack([z0[0] + r[::stride] * c[::stride],
-                             z0[1] + r[::stride] * s[::stride]], axis=-1)
-            return tau, area, loop
-        n *= 2
-        r = _fourier_resample(r, n)
-    return None
+def _arc_sums(p: HamiltonianParams, rows: np.ndarray, n: int):
+    """Per piece, by the n-node rule: the time int dx / (2 y sqrt(D)) and
+    int y dx, with x, y and dt/dphi at the nodes."""
+    s2, w, _ = _arc_rule(n)
+    # a critical level leaves zeros and nans, which the guard refuses;
+    # 64 rows at a time, as all of the scan's at once take 6 MB
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x, y2, d = (np.concatenate(v) for v in zip(*(
+            _arc_values(p, rows[i:i + 64], s2, s2[::-1])
+            for i in range(0, len(rows), 64))))
+        dx = (rows[:, 1] - rows[:, 0]).real[:, None] * np.sqrt(s2 * s2[::-1])
+        y = np.sqrt(y2)
+        dt = 0.5 * dx / (y * np.sqrt(d))
+    return dt @ w, (y * dx) @ w, x, y, dt
+
+
+def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
+    """The loops of H2 = level in the order of their first axis seed not
+    within 1e-6 of a critical point: each its seed, its arcs in flow order
+    as `segments` (piece rows in x order, branch s, copy m = 1 for y > 0 or
+    -1 for the mirror, direction of x), and its seed's piece and
+    sin^2(phi/2) there as `start`.  The pieces are appended to `rows`.
+
+    With Y = y^2 the level reads 1/2 Y^2 + B Y + A = 0, B = x^2 + eps b x
+    + eps^2 d and A = H2(x, 0) - C, so it is the branches
+    Y_s = -B + s sqrt(D), D = B^2 - 2A a cubic.  An arc, a maximal
+    x-interval where one branch is positive, ends at a fold (a root of D),
+    where the loop turns into the other branch, or at an axis crossing (a
+    root of A), where it turns into the arc's mirror image.  A loop that
+    never meets the axis closes at folds alone, its mirror image another.
+    """
+    e = p.epsilon
+    crit = [cp.location for cp in structure_of(p).points]
+    seeds = [z for z in axis_level_seeds(p, level)
+             if min(math.dist(z, c) for c in crit) >= 1e-6]
+    ca = [0.5, e * p.a, e * e * p.c, 0.0, -level]
+    cd = [2.0 * e * (p.b - p.a), e * e * (p.b * p.b + 2.0 * p.d - 2.0 * p.c),
+          2.0 * e ** 3 * p.b * p.d, e ** 4 * p.d * p.d + 2.0 * level]
+    while cd and cd[0] == 0.0:
+        cd.pop(0)
+    if not seeds or not cd:
+        return []
+    roots = np.concatenate([np.roots(ca), np.roots(cd)]).astype(complex)
+    real = np.abs(roots.imag) < 1e-10  # as for the axis seeds
+    roots[real] = roots[real].real
+    # breakpoints (x, is an axis crossing), and the branches on each gap
+    bps = sorted((roots[i].real, i < 4) for i in np.flatnonzero(real))
+    rts = roots.tolist()
+    xs = np.array([x for x, _ in bps])
+    mid = 0.5 * (xs[1:] + xs[:-1])
+    a, d = np.polyval(ca, mid), np.polyval(cd, mid)
+    b = mid * (mid + e * p.b) + e * e * p.d
+    arcs = []
+    for s, on in ((1, (d > 0) & ((a < 0) | (b < 0))),
+                  (-1, (d > 0) & (a > 0) & (b < 0))):
+        edge = np.flatnonzero(np.diff(np.concatenate([[0], on, [0]])))
+        for i, j in zip(edge[::2].tolist(), edge[1::2].tolist()):
+            # every root is singular for the integrands or, past a fold, for
+            # their continuation: cuts at steps growing 16-fold toward its
+            # nearest point on the arc, and toward each end from the cut
+            # nearest it over the arc's half on that side, keep each piece
+            # at most 16 times as long as its distance from them
+            xl, xr = float(xs[i]), float(xs[j])
+            cuts = set()
+            for r in rts:
+                near = min(max(r.real, xl), xr)
+                step = abs(r - near)
+                if step < xr - xl:
+                    cuts.add(near)
+                while 0.0 < step < xr - xl:
+                    cuts.update((near - step, near + step))
+                    step *= 16.0
+            for end in (xl, xr):
+                step = 16.0 * min([abs(c - end) for c in cuts if xl < c < xr]
+                                 or [math.inf])
+                while step < 0.5 * (xr - xl):
+                    cuts.update((end - step, end + step))
+                    step *= 16.0
+            edges = [xl, *sorted(c for c in cuts if xl < c < xr), xr]
+            arcs.append((i, j, s, list(range(len(rows),
+                                             len(rows) + len(edges) - 1))))
+            rows += [(u, v, s, cd[0], *rts, *[np.nan] * (7 - len(rts)))
+                     for u, v in zip(edges, edges[1:])]
+    loops, seen = [], set()
+    for (x, y), dx in zip(seeds, np.polyval(cd, [z[0] for z in seeds])):
+        # the arc over x on which Y_s = -B + s sqrt(D) is y^2, and its piece
+        bx = x * (x + e * p.b) + e * e * p.d
+        arc = min((n for n, (i, j, _, _) in enumerate(arcs)
+                   if xs[i] <= x <= xs[j]), key=lambda n: abs(
+            bx - arcs[n][2] * math.sqrt(max(dx, 0.0)) + y * y))
+        i, j, s, ks = arcs[arc]
+        piece = next(k for k in ks if rows[k][0] <= x <= rows[k][1])
+        # from an axis crossing, along the arc away from it
+        direction = (-s * (1 if y > 0 else -1) if y else
+                     1 if x - xs[i] < xs[j] - x else -1)
+        # dx/dt = -2 y s sqrt(D): on the copy with y of sign m the flow runs
+        # in the direction of x of sign -s m
+        state = (arc, -s * direction, direction)
+        if state[:2] in seen:
+            continue
+        states = []
+        while state not in states:
+            states.append(state)
+            arc, m, direction = state
+            k = arcs[arc][1] if direction > 0 else arcs[arc][0]
+            if bps[k][1]:  # an axis crossing: back along the mirror arc
+                state = (arc, -m, -direction)
+            else:  # a fold: on along the other branch, away from it
+                arc = next(o for o, (i, j, _, _) in enumerate(arcs)
+                           if k in (i, j) and o != arc)
+                state = (arc, m, 1 if arcs[arc][0] == k else -1)
+        if state != states[0]:
+            raise NotClosed(f"the arcs of level {level:g} form no loop")
+        seen.update(st[:2] for st in states)
+        loops.append(SimpleNamespace(
+            seed=np.array([x, y]), start=(piece, (x - rows[piece][0]) / (
+                rows[piece][1] - rows[piece][0])),
+            segments=[(arcs[a][3], arcs[a][2], m, d) for a, m, d in states]))
+    return loops
+
+
+def _trace_levels(p: HamiltonianParams, levels):
+    """The loops of each level (_level_loops), with their periods and signed
+    areas from one batch of arc quadratures.  Returns (loops per level, the
+    piece rows, _arc_sums by the full rule).  Raises SlowConvergence where
+    the ARC_NODES and ARC_NODES / 2 node rules disagree beyond ARC_RTOL."""
+    rows = []
+    per_level = [_level_loops(p, level, rows) for level in levels]
+    loops = [(level, lp) for level, lps in zip(levels, per_level)
+             for lp in lps]
+    if not loops:
+        return per_level, None, None
+    rows = np.array(rows, complex)
+    # loop n runs piece k on branch s once per entry
+    n, k, s = np.array([(n, k, s) for n, (_, lp) in enumerate(loops)
+                        for ks, s, _, _ in lp.segments for k in ks]).T
+    sums = [_arc_sums(p, rows, nodes) for nodes in (ARC_NODES, ARC_NODES // 2)]
+    (tau, area, size), (tau2, area2, _) = (
+        [np.bincount(n, weights=w) for w in (q[0][k], s * q[1][k], q[1][k])]
+        for q in sums)
+    for i in np.flatnonzero(~((np.abs(tau - tau2) <= ARC_RTOL * tau) & (
+            np.abs(area - area2) <= ARC_RTOL * size)))[:1]:
+        level, lp = loops[i]
+        raise SlowConvergence(
+            f"loop through ({lp.seed[0]:g}, {lp.seed[1]:g}) on level "
+            f"{level:g}: the {ARC_NODES}- and {ARC_NODES // 2}-node arc "
+            f"quadratures give tau {tau[i]:.17g} and {tau2[i]:.17g}, area "
+            f"{area[i]:.17g} and {area2[i]:.17g}")
+    for (_, lp), t, a in zip(loops, tau.tolist(), area.tolist()):
+        lp.tau, lp.area = t, a
+    return per_level, rows, sums[0]
+
+
+def _loop_samples(p: HamiltonianParams, rows: np.ndarray, sums, lp,
+                  n_loop: int) -> np.ndarray:
+    """n_loop points of the loop at equal time steps from its seed, in the
+    flow direction, to the accuracy of linear interpolation between the
+    16 ARC_NODES + 1 equally spaced phi of each piece at which _arc_rule
+    gives the time."""
+    tau, dt = sums[0], sums[4]
+    k, m, d = np.array([(k, m, d) for ks, _, m, d in lp.segments
+                        for k in (ks if d > 0 else ks[::-1])]).T
+    # each piece once, though a loop that meets the axis runs it twice
+    fine = _arc_rule(dt.shape[1])[2]
+    once = {j: fine @ dt[j] for j in set(k.tolist())}
+    times = np.array([once[j] for j in k.tolist()])
+    times[:, -1] = tau[k]
+    # each piece from its start in the flow direction, and g = its place in
+    # that order plus psi / pi, psi = phi or pi - phi
+    times[d < 0] = tau[k[d < 0], None] - times[d < 0, ::-1]
+    times += np.concatenate([[0.0], np.cumsum(tau[k])[:-1]])[:, None]
+    g = np.arange(len(k))[:, None] + np.linspace(0.0, 1.0, times.shape[1])
+    row = int(np.flatnonzero(k == lp.start[0])[0])
+    u = 2.0 / np.pi * math.asin(math.sqrt(lp.start[1]))
+    t0 = np.interp(row + (u if d[row] > 0 else 1.0 - u), g.ravel(),
+                   times.ravel())
+    g = np.interp((t0 + lp.tau * np.arange(n_loop) / n_loop) % lp.tau,
+                  times.ravel(), g.ravel())
+    row = np.minimum(g.astype(int), len(k) - 1)
+    s2, c2 = np.sin(0.5 * np.pi * (g - row)) ** 2, np.sin(
+        0.5 * np.pi * (row + 1 - g)) ** 2
+    s2, c2 = np.where(d[row] > 0, s2, c2), np.where(d[row] > 0, c2, s2)
+    x, y2, _ = _arc_values(p, rows[k[row]], s2[:, None], c2[:, None])
+    loop = np.column_stack([x[:, 0], m[row] * np.sqrt(y2[:, 0])])
+    loop[0] = lp.seed
+    return loop
+
+
+def level_components(p: HamiltonianParams, level: float,
+                     n_loop: int = 2048):
+    """Each component of the level set H2 = level through an axis seed, once,
+    from closed-form arcs (_level_loops), integrating nothing.
+
+    Returns a list of (seed, tau, area, loop) in seed order: the
+    Hamiltonian-time period, the area signed by the flow (positive
+    counterclockwise) and n_loop points from the seed in the flow
+    direction, at equal time steps.
+    """
+    (loops,), rows, sums = _trace_levels(p, [level])
+    return [(lp.seed, lp.tau, lp.area,
+             _loop_samples(p, rows, sums, lp, n_loop)) for lp in loops]
 
 
 def claim_hessian_period(
@@ -574,45 +719,6 @@ def claim_hessian_period(
 # resonant level scan
 
 
-def _on_loop(seed, loop: np.ndarray) -> bool:
-    """Whether `seed` lies on the sampled closed loop: it is closer to its
-    nearest sample than that sample is to either neighbour."""
-    d = np.hypot(loop[:, 0] - seed[0], loop[:, 1] - seed[1])
-    i = int(np.argmin(d))
-    nbrs = loop[[i - 1, (i + 1) % len(loop)]] - loop[i]
-    return bool(d[i] < np.min(np.hypot(nbrs[:, 0], nbrs[:, 1])))
-
-
-def level_components(p: HamiltonianParams, level: float,
-                     n_loop: int = 2048):
-    """Trace each component of the level set H2 = level once.
-
-    Walks the axis seeds of the level and traces one only if it is not a
-    critical point and does not lie on a loop already traced: by
-    polar_period_and_area, and by integrating planar_period_and_area where
-    the quadrature cannot certify itself.  Returns (components, no_return):
-    components is a list of (seed, tau, area, loop) in seed order, each
-    loop of n_loop samples; no_return lists (seed, elapsed) for the seeds
-    whose loop did not return within the integration horizon.
-    """
-    crit = np.array([cp.location for cp in structure_of(p).points])
-    components, no_return = [], []
-    for seed in axis_level_seeds(p, level):
-        if np.min(np.hypot(crit[:, 0] - seed[0], crit[:, 1] - seed[1])) < 1e-6:
-            continue  # a critical point is a constant loop
-        if any(_on_loop(seed, comp[3]) for comp in components):
-            continue
-        traced = polar_period_and_area(p, level, seed, n_loop)
-        if traced is None:
-            try:
-                traced = planar_period_and_area(p, level, seed, n_loop=n_loop)
-            except NoReturn as exc:
-                no_return.append((seed, exc.elapsed))
-                continue
-        components.append((seed, *traced))
-    return components, no_return
-
-
 def resonant_orbit_scan(
     p: HamiltonianParams,
     action_bound: float,
@@ -628,8 +734,9 @@ def resonant_orbit_scan(
     m1 * pi * (1 - 2C) + m2 * area.  The scan emits every candidate with a
     conservative minimal action <= action_bound (m1 rounded up to the next
     admissible ratio within 1e-6, over m2 = 1..8).  An empty result is
-    the success mode.  Levels whose loops do not return in the horizon are
-    recorded as diagnostics.
+    the success mode.  Every level's loops come from one batch of arcs
+    (level_components), and the Hessian-period claim takes its h_sup over
+    the arc nodes; only candidates get sampled loops.
     """
     vals = sorted(cp.h2_value for cp in structure_of(p).axis_points)
     if level_lo is None:
@@ -637,33 +744,33 @@ def resonant_orbit_scan(
     if level_hi is None:
         level_hi = vals[-1]
 
+    levels = [level_lo + (k + 0.5) * (level_hi - level_lo) / n_levels
+              for k in range(n_levels)]
+    per_level, rows, sums = _trace_levels(p, levels)
     candidates = []
     diagnostics = []
-    for k in range(n_levels):
-        level = level_lo + (k + 0.5) * (level_hi - level_lo) / n_levels
-        components, no_return = level_components(p, level)
-        for seed, elapsed in no_return:
-            diagnostics.append({"level": level, "seed": tuple(seed),
-                                "status": "no-return", "elapsed": elapsed})
-        for seed, tau, area, loop in components:
-            best = None
-            for m2 in range(1, 9):
-                m1 = int(np.ceil(m2 * tau / (2.0 * np.pi) - 1e-6))
-                m1 = max(m1, 1)
-                action = m1 * np.pi * (1.0 - 2.0 * level) + m2 * abs(area)
-                if best is None or action < best[0]:
-                    best = (action, m1, m2)
-            action, m1, m2 = best
-            claim = claim_hessian_period(p, loop, tau)
+    for level, loops in zip(levels, per_level):
+        for lp in loops:
+            seed, tau, area = tuple(lp.seed), lp.tau, lp.area
+            m2 = np.arange(1, 9)
+            m1 = np.maximum(np.ceil(m2 * tau / (2.0 * np.pi) - 1e-6), 1.0)
+            actions = m1 * np.pi * (1.0 - 2.0 * level) + m2 * abs(area)
+            i = int(np.argmin(actions))
+            action, m1, m2 = float(actions[i]), int(m1[i]), int(m2[i])
+            # the Hessian norm is even in y: the arc nodes cover the loop
+            ids = sorted({k for ids, _, _, _ in lp.segments for k in ids})
+            claim = claim_hessian_period(p, np.column_stack(
+                [sums[2][ids].ravel(), sums[3][ids].ravel()]), tau)
             if action <= action_bound:
                 candidates.append({
-                    "level": level, "seed": tuple(seed), "m1": m1, "m2": m2,
+                    "level": level, "seed": seed, "m1": m1, "m2": m2,
                     "tau": tau, "area": area, "action": action,
-                    "claim_pass": claim["pass"], "loop": loop,
+                    "claim_pass": claim["pass"],
+                    "loop": _loop_samples(p, rows, sums, lp, 2048),
                 })
             else:
                 diagnostics.append({
-                    "level": level, "seed": tuple(seed), "status": "excluded",
+                    "level": level, "seed": seed, "status": "excluded",
                     "tau": tau, "area": area, "min_action": action,
                     "claim_pass": claim["pass"],
                 })

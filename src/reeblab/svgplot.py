@@ -104,13 +104,14 @@ def level_curves(p: HamiltonianParams) -> list:
     lo, hi = vals[0], vals[-1]
     curves = []
     # each distinct level once, and none on an axis critical value: that
-    # level is the separatrix's, whose seeds a loop trace cannot close (where
-    # the top critical value is 0 the four levels scaled from it are all 0)
+    # level is the separatrix's, whose arcs meet at the saddle and close no
+    # loop (where the top critical value is 0 the four levels scaled from it
+    # are all 0)
     for level in dict.fromkeys((0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi,
                                 0.95 * hi, 3.0 * hi, 10.0 * hi, 0.25)):
         if any(abs(level - v) <= 1e-12 * max(1.0, abs(v)) for v in vals):
             continue
-        components, _ = orbits.level_components(p, level, n_loop=512)
+        components = orbits.level_components(p, level, n_loop=512)
         curves += [loop for _, _, _, loop in components]
     return curves
 

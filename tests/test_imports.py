@@ -1,7 +1,8 @@
 """Which commands load scipy.
 
-The binding orbits, their monodromy, the asymptotic spectra and the leaf
-profiles are closed forms, quadratures or numpy calls, so importing reeblab
+The binding orbits, their monodromy, the asymptotic spectra, the leaf
+profiles and the level loops of the resonance scan are closed forms,
+quadratures or numpy calls, so importing reeblab
 and running those commands must not import scipy; only the calls that
 integrate, minimise or build a k-d tree import it, at the call.  Nor does
 the validated model import numpy.ma, which costs every command its start-up.
@@ -51,9 +52,10 @@ def _fresh_run(argv):
     (["orbits"], 0),
     (["spectrum", "--orbit", "P1"], 0),
     (["leaf", "--which", "plane_to_P3"], 0),
+    (["scan"], 0),
     # an axis point above the energy cap: StructureMismatch before any trace
     (["--epsilon", "2", "homoclinic"], 1),
-], ids=["import", "orbits", "spectrum", "leaf", "structure-failure"])
+], ids=["import", "orbits", "spectrum", "leaf", "scan", "structure-failure"])
 def test_command_loads_no_scipy(tmp_path, command, code):
     argv = None if command is None else ["--out", str(tmp_path), *command]
     got, loaded = _fresh_run(argv)
