@@ -186,45 +186,25 @@ def frame_correction_for(p, orbit: ReebOrbit) -> int:
 
 def analytic_monodromy_oracle(p, which: str, n_samples: int = 256, *,
                               orbit: ReebOrbit) -> SymplecticPath:
-    """Exact transverse path over the special orbit `orbit`, labelled
-    `which`, from the constant linearization [[0, k1], [k2, 0]] scaled by
-    the period; no integration, so `p` is not read."""
+    """Exact transverse path over the special orbit `orbit` from the
+    constant linearization [[0, k1], [k2, 0]] scaled by the period; no
+    integration, so neither `p` nor the label `which` is read."""
     gen = np.array([[0.0, orbit.k1], [orbit.k2, 0.0]])
-    tau = np.linspace(0.0, 1.0, n_samples)
-    mats = _expm_generator(gen, orbit.reeb_period * tau)
-    mats[0] = np.eye(2)
-    return SymplecticPath(tau=tau, mats=mats, frame_kind="rho_orbit_frame",
-                          period=orbit.reeb_period, orbit=orbit,
-                          constant_generator=gen, label=which)
+    return SymplecticPath.from_generator(gen, orbit.reeb_period, n_samples,
+                                         "rho_orbit_frame")
 
 
 def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
-    """k-fold iterate by the group law Phi_k(t + j/k) = Phi(t) Phi(1)^j,
-    built by exact concatenation of the stored nodes."""
+    """k-fold iterate Phi_k(t + j/k) = Phi(t) Phi(1)^j: the path lifted
+    over k periods."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     if k == 1:
         return path
-    end = path.end_matrix()
-    powers = [np.eye(2)]
-    for _ in range(k - 1):
-        powers.append(powers[-1] @ end)
-    taus = [path.tau / k]
-    mats = [path.mats]
-    n = path.n_nodes
-    for j in range(1, k):
-        taus.append((path.tau[1:] + j) / k)
-        mats.append(path.mats[1:] @ powers[j])
-    tau = np.concatenate(taus)
-    m = np.concatenate(mats)
-    m[0] = np.eye(2)
-    gen = None
-    if path.constant_generator is not None:
-        gen = path.constant_generator
-    return SymplecticPath(tau=tau, mats=m, frame_kind=path.frame_kind,
-                          period=k * path.period, orbit=path.orbit,
-                          constant_generator=gen,
-                          label=f"{path.label}^{k}")
+    tau, mats = path.lift(np.arange(k * (path.n_nodes - 1) + 1))
+    return SymplecticPath(tau=tau / k, mats=mats, frame_kind=path.frame_kind,
+                          period=k * path.period,
+                          constant_generator=path.constant_generator)
 
 
 def iterate_index(path: SymplecticPath, k: int, frame_correction: int,
@@ -237,18 +217,8 @@ def iterate_index(path: SymplecticPath, k: int, frame_correction: int,
 def rotation_path(turns: float, n_samples: int = 256,
                   period: float = 1.0) -> SymplecticPath:
     """Rigid rotation test path by `turns` full turns."""
-    tau = np.linspace(0.0, 1.0, n_samples)
-    ang = 2.0 * np.pi * turns * tau
-    mats = np.zeros((n_samples, 2, 2))
-    mats[:, 0, 0] = np.cos(ang)
-    mats[:, 0, 1] = -np.sin(ang)
-    mats[:, 1, 0] = np.sin(ang)
-    mats[:, 1, 1] = np.cos(ang)
-    mats[0] = np.eye(2)
     gen = 2.0 * np.pi * turns / period * np.array([[0.0, -1.0], [1.0, 0.0]])
-    return SymplecticPath(tau=tau, mats=mats, frame_kind="test",
-                          period=period, constant_generator=gen,
-                          label=f"rot({turns})")
+    return SymplecticPath.from_generator(gen, period, n_samples, "test")
 
 
 # ---------------------------------------------------------------------------
@@ -257,45 +227,27 @@ def rotation_path(turns: float, n_samples: int = 256,
 
 def lie_pairing(path: SymplecticPath, section: Callable, taus: np.ndarray,
                 lie_step: float = 1e-5) -> np.ndarray:
-    """d(lambda)(eta, L_R eta) at the given parameters, with the Lie
-    derivative realized by a centered finite difference of the flow-pulled
-    section: L_R eta(t) = d/ds [Phi(t) Phi(t+s)^{-1} eta(t+s)] / T at s=0.
+    """d(lambda)(eta, L_R eta) at the given parameters.  The Lie derivative
+    L_R eta(t) = d/ds [Phi(t) Phi(t+s)^{-1} eta(t+s)] / T at s=0 is a
+    centered finite difference in s of the flow-pulled section.  The path
+    must carry a constant generator A (ValueError otherwise), for which
+    Phi(t) Phi(t+s)^{-1} = exp(-s T A) exactly.
 
     `section` maps parameter arrays to frame coordinates (..., 2); the frame
     is symplectic, so the pairing is the 2x2 determinant.
     """
+    if path.constant_generator is None:
+        raise ValueError("the Lie pairing needs a path with a constant generator")
     taus = np.asarray(taus, float)
     d = lie_step
     eta0 = section(taus)
-    phi0 = path.value(taus % 1.0)
 
-    def pulled(offs):
-        tt = taus + offs
-        eta = section(tt % 1.0)
-        phi = _path_value_lifted(path, tt)
-        rel = phi0 @ np.linalg.inv(phi)
-        return np.einsum("...ij,...j->...i", rel, eta)
+    def pulled(s):
+        rel = _expm_generator(path.constant_generator, -s * path.period)
+        return np.einsum("ij,...j->...i", rel, section((taus + s) % 1.0))
 
     lie = (pulled(d) - pulled(-d)) / (2.0 * d * path.period)
     return eta0[..., 0] * lie[..., 1] - eta0[..., 1] * lie[..., 0]
-
-
-def _path_value_lifted(path: SymplecticPath, tau):
-    """Path value extended beyond [0, 1] by Phi(t + j) = Phi(t) Phi(1)^j."""
-    tau = np.asarray(tau, float)
-    j = np.floor(tau).astype(int)
-    frac = tau - j
-    base = path.value(frac)
-    end = path.end_matrix()
-    out = np.array(base)
-    # a set, not np.unique, which imports numpy.ma at first call
-    for jj in set(j.tolist()):
-        if jj == 0:
-            continue
-        powm = np.linalg.matrix_power(end, int(jj))
-        sel = j == jj
-        out[sel] = base[sel] @ powm
-    return out
 
 
 def hyperbolic_eigenvectors(path: SymplecticPath):
@@ -379,31 +331,3 @@ def eigenframe_and_quadrants(p, orbit: ReebOrbit, section):
     else:
         sign = "mixed"
     return quads, sign
-
-
-# ---------------------------------------------------------------------------
-# all-method index computation
-
-
-def cz_all_methods(p, orbit: ReebOrbit, iterate: int = 1):
-    """Index of orbit^iterate by numeric path, analytic oracle (both on 256
-    nodes) and spectral formula (128 grid nodes); returns dict of CZResult
-    plus the agreement flag."""
-    from . import spectrum as spectrum_mod
-
-    fc = frame_correction_for(p, orbit)
-    numeric = model.restrict_linearized_to_xi(p, orbit, "rho_orbit_frame")
-    analytic = analytic_monodromy_oracle(p, orbit.label, orbit=orbit)
-    res_num = iterate_index(numeric, iterate, fc, method="winding_interval")
-    res_ana = iterate_index(analytic, iterate, fc, method="analytic_oracle")
-    op = spectrum_mod.build_S(iterate_path(analytic, iterate))
-    rep = spectrum_mod.discretize_and_solve(op, 128)
-    res_spec = spectrum_mod.generalized_cz(rep, iterate * fc)
-    agree = res_num.mu_global == res_ana.mu_global == res_spec.mu_global
-    return {
-        "numeric": res_num,
-        "analytic": res_ana,
-        "spectral": res_spec,
-        "frame_correction": fc,
-        "agree": bool(agree),
-    }

@@ -424,8 +424,8 @@ def strong_section_check(p: HamiltonianParams, grid: LeafGrid, end: str):
 
     The boundary section is the radial derivative of the leaf near the end,
     expressed in the orbit-adapted frame of the limiting orbit; the pairing
-    d(lambda)(eta, L_R eta) is evaluated at every node by the central
-    finite-difference realization of the Lie derivative along the orbit.
+    d(lambda)(eta, L_R eta) is evaluated at every node by
+    czindex.lie_pairing: exact in the flow, a central difference of eta.
     Verdict: 'strong' for one strict sign with margin, 'fails' for a sign
     change or a certified zero, 'indefinite' below margin.
     """

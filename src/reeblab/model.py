@@ -458,17 +458,16 @@ class SymplecticPath:
 
     `mats[j]` expresses the linearized Reeb flow over physical time
     `period * tau[j]` restricted to the contact plane, in the frame named by
-    `frame_kind`.  Paths built from a constant generator keep it in
-    `constant_generator` and can be evaluated at arbitrary parameters.
+    `frame_kind`; the last node closes the period.  Paths built from a
+    constant generator keep it in `constant_generator` and can be evaluated
+    at arbitrary parameters.
     """
 
     tau: np.ndarray
     mats: np.ndarray
     frame_kind: str
     period: float
-    orbit: object = None
     constant_generator: Optional[np.ndarray] = None
-    label: str = ""
 
     def __post_init__(self):
         self.tau = np.asarray(self.tau, float)
@@ -476,6 +475,17 @@ class SymplecticPath:
         if not np.array_equal(self.mats[0], np.eye(2)):
             raise ValueError("path must start at the identity exactly, "
                              f"starts at {self.mats[0].tolist()}")
+
+    @classmethod
+    def from_generator(cls, gen: np.ndarray, period: float, n_samples: int,
+                       frame_kind: str) -> "SymplecticPath":
+        """The exact path exp(t * gen) on n_samples uniform nodes over one
+        period."""
+        tau = np.linspace(0.0, 1.0, n_samples)
+        mats = _expm_generator(gen, period * tau)
+        mats[0] = np.eye(2)
+        return cls(tau=tau, mats=mats, frame_kind=frame_kind, period=period,
+                   constant_generator=gen)
 
     @property
     def n_nodes(self) -> int:
@@ -486,6 +496,26 @@ class SymplecticPath:
 
     def end_matrix(self) -> np.ndarray:
         return self.mats[-1]
+
+    def lift(self, nodes):
+        """(tau, mats) at integer node indices of the path continued over
+        every period by the group law Phi(t + j) = Phi(t) Phi(1)^j, the
+        powers by repeated right multiplication with Phi(1) or its inverse.
+        Node j (n_nodes - 1), j > 0, is the closing node times Phi(1)^(j-1),
+        so a k-fold concatenation repeats the stored closing node.
+        """
+        n = self.n_nodes - 1
+        j, r = np.divmod(np.asarray(nodes), n)
+        top = (r == 0) & (j > 0)
+        j, r = np.where(top, j - 1, j), np.where(top, n, r)
+        mats = self.mats[r]
+        end = self.end_matrix()
+        for stop, step in ((j.max() + 1, 1), (j.min() - 1, -1)):
+            power = np.eye(2)
+            for jj in range(step, stop, step):
+                power = power @ (end if step > 0 else np.linalg.inv(end))
+                mats[j == jj] = mats[j == jj] @ power
+        return self.tau[r] + j, mats
 
     def value(self, tau):
         """Evaluate at arbitrary parameters (exact for generator paths,
@@ -504,9 +534,7 @@ class SymplecticPath:
         mats = self.value(tau)
         mats[0] = np.eye(2)
         return SymplecticPath(tau, mats, self.frame_kind, self.period,
-                              orbit=self.orbit,
-                              constant_generator=self.constant_generator,
-                              label=self.label)
+                              constant_generator=self.constant_generator)
 
 
 def _expm_generator(gen: np.ndarray, times) -> np.ndarray:
@@ -605,8 +633,6 @@ def restrict_linearized_to_xi(
         mats=phi,
         frame_kind=frame_kind,
         period=T,
-        orbit=orbit,
-        label=getattr(orbit, "label", ""),
     )
     defect = path.det_defect()
     if defect > 1e-7:

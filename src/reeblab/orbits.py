@@ -492,7 +492,8 @@ def _arc_sums(p: HamiltonianParams, rows: np.ndarray, n: int):
 
 def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
     """The loops of H2 = level in the order of their first axis seed not
-    within 1e-6 of a critical point: each its seed, its arcs in flow order
+    within 1e-6 of a critical point, then those that meet no axis in the
+    order of their arcs: each its seed, its arcs in flow order
     as `segments` (piece rows in x order, branch s, copy m = 1 for y > 0 or
     -1 for the mirror, direction of x), and its seed's piece and
     sin^2(phi/2) there as `start`.  The pieces are appended to `rows`.
@@ -503,7 +504,8 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
     x-interval where one branch is positive, ends at a fold (a root of D),
     where the loop turns into the other branch, or at an axis crossing (a
     root of A), where it turns into the arc's mirror image.  A loop that
-    never meets the axis closes at folds alone, its mirror image another.
+    never meets the axis closes at folds alone, its mirror image another;
+    its seed is the fold that its flow leaves on its first arc.
     """
     e = p.epsilon
     crit = [cp.location for cp in structure_of(p).points]
@@ -514,7 +516,7 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
           2.0 * e ** 3 * p.b * p.d, e ** 4 * p.d * p.d + 2.0 * level]
     while cd and cd[0] == 0.0:
         cd.pop(0)
-    if not seeds or not cd:
+    if not cd:
         return []
     roots = np.concatenate([np.roots(ca), np.roots(cd)]).astype(complex)
     real = np.abs(roots.imag) < 1e-10  # as for the axis seeds
@@ -558,22 +560,9 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
             rows += [(u, v, s, cd[0], *rts, *[np.nan] * (7 - len(rts)))
                      for u, v in zip(edges, edges[1:])]
     loops, seen = [], set()
-    for (x, y), dx in zip(seeds, np.polyval(cd, [z[0] for z in seeds])):
-        # the arc over x on which Y_s = -B + s sqrt(D) is y^2, and its piece
-        bx = x * (x + e * p.b) + e * e * p.d
-        arc = min((n for n, (i, j, _, _) in enumerate(arcs)
-                   if xs[i] <= x <= xs[j]), key=lambda n: abs(
-            bx - arcs[n][2] * math.sqrt(max(dx, 0.0)) + y * y))
-        i, j, s, ks = arcs[arc]
-        piece = next(k for k in ks if rows[k][0] <= x <= rows[k][1])
-        # from an axis crossing, along the arc away from it
-        direction = (-s * (1 if y > 0 else -1) if y else
-                     1 if x - xs[i] < xs[j] - x else -1)
-        # dx/dt = -2 y s sqrt(D): on the copy with y of sign m the flow runs
-        # in the direction of x of sign -s m
-        state = (arc, -s * direction, direction)
-        if state[:2] in seen:
-            continue
+
+    def walk(seed, piece, state):
+        # from the seed's state through the arcs' turns until it recurs
         states = []
         while state not in states:
             states.append(state)
@@ -589,9 +578,33 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
             raise NotClosed(f"the arcs of level {level:g} form no loop")
         seen.update(st[:2] for st in states)
         loops.append(SimpleNamespace(
-            seed=np.array([x, y]), start=(piece, (x - rows[piece][0]) / (
+            seed=np.array(seed), start=(piece, (seed[0] - rows[piece][0]) / (
                 rows[piece][1] - rows[piece][0])),
             segments=[(arcs[a][3], arcs[a][2], m, d) for a, m, d in states]))
+
+    for (x, y), dx in zip(seeds, np.polyval(cd, [z[0] for z in seeds])):
+        # the arc over x on which Y_s = -B + s sqrt(D) is y^2, and its piece
+        bx = x * (x + e * p.b) + e * e * p.d
+        arc = min((n for n, (i, j, _, _) in enumerate(arcs)
+                   if xs[i] <= x <= xs[j]), key=lambda n: abs(
+            bx - arcs[n][2] * math.sqrt(max(dx, 0.0)) + y * y))
+        i, j, s, ks = arcs[arc]
+        piece = next(k for k in ks if rows[k][0] <= x <= rows[k][1])
+        # from an axis crossing, along the arc away from it
+        direction = (-s * (1 if y > 0 else -1) if y else
+                     1 if x - xs[i] < xs[j] - x else -1)
+        # dx/dt = -2 y s sqrt(D): on the copy with y of sign m the flow runs
+        # in the direction of x of sign -s m
+        if (arc, -s * direction) not in seen:
+            walk((x, y), piece, (arc, -s * direction, direction))
+    # a loop about an off-axis well meets no axis, so no seed reaches it:
+    # it starts at the fold, y^2 = -B, that the flow leaves on an arc copy
+    for arc, (i, j, s, ks) in enumerate(arcs):
+        for m in (1, -1):
+            if (arc, m) not in seen and not (bps[i][1] or bps[j][1]):
+                x = xs[i] if s * m < 0 else xs[j]
+                y = m * math.sqrt(max(-(x * (x + e * p.b) + e * e * p.d), 0.0))
+                walk((x, y), ks[0] if s * m < 0 else ks[-1], (arc, m, -s * m))
     return loops
 
 
@@ -664,8 +677,9 @@ def _loop_samples(p: HamiltonianParams, rows: np.ndarray, sums, lp,
 
 def level_components(p: HamiltonianParams, level: float,
                      n_loop: int = 2048):
-    """Each component of the level set H2 = level through an axis seed, once,
-    from closed-form arcs (_level_loops), integrating nothing.
+    """Each component of the level set H2 = level once, from closed-form
+    arcs (_level_loops), integrating nothing: those through an axis seed,
+    then those about off-axis wells, which meet no axis, from a fold.
 
     Returns a list of (seed, tau, area, loop) in seed order: the
     Hamiltonian-time period, the area signed by the flow (positive

@@ -24,6 +24,7 @@ from typing import Optional
 
 import numpy as np
 
+from .czindex import CZResult
 from .errors import AsymmetryTooLarge, BandTooNarrow
 from .jacobi import jacobi_eigh
 from .model import J0, SymplecticPath, winding_turns
@@ -37,10 +38,8 @@ class OperatorModel:
     S: np.ndarray  # (n, 2, 2), exactly symmetric
     tau: np.ndarray
     period: float
-    orbit: object = None
     constant_S: Optional[np.ndarray] = None
     asym_residual: float = 0.0
-    frame_kind: str = ""
 
     @property
     def n_nodes(self) -> int:
@@ -104,39 +103,23 @@ def build_S(path: SymplecticPath) -> OperatorModel:
         grid = np.arange(n) / n
         s_path = np.broadcast_to(s_const, (n, 2, 2)).copy()
         return OperatorModel(S=s_path, tau=grid, period=path.period,
-                             orbit=path.orbit, constant_S=s_const,
-                             asym_residual=0.0, frame_kind=path.frame_kind)
+                             constant_S=s_const)
     if not np.allclose(np.diff(tau), tau[1] - tau[0], rtol=1e-9, atol=1e-12):
         raise ValueError("path nodes must be uniform for differencing (spacing "
                          f"{np.min(np.diff(tau)):g} to {np.max(np.diff(tau)):g})")
     mats = path.mats[:-1]
     nn = len(mats)
     dt = 1.0 / nn
-    # centered stencil with the group-law extension Phi(t + 1) = Phi(t) Phi(1)
-    end = path.end_matrix()
-    end_inv = np.linalg.inv(end)
-
-    def shifted(offset):
-        idx = np.arange(nn) + offset
-        out = np.empty_like(mats)
-        lo = idx < 0
-        hi = idx >= nn
-        mid = ~(lo | hi)
-        out[mid] = mats[idx[mid]]
-        out[hi] = mats[idx[hi] - nn] @ end
-        out[lo] = mats[idx[lo] + nn] @ end_inv
-        return out
-
-    dphi = (8.0 * (shifted(1) - shifted(-1))
-            - (shifted(2) - shifted(-2))) / (12.0 * dt)
+    # centered stencil over the path lifted two nodes past each end
+    _, ext = path.lift(np.arange(-2, nn + 2))
+    dphi = (8.0 * (ext[3:-1] - ext[1:-3]) - (ext[4:] - ext[:-4])) / (12.0 * dt)
     s_raw = -np.einsum("ij,njk->nik", J0, dphi @ np.linalg.inv(mats))
     asym = float(np.max(np.abs(s_raw - np.transpose(s_raw, (0, 2, 1)))))
     if asym > 1e-6:
         raise AsymmetryTooLarge(f"asymmetry residual {asym:g}")
     s_sym = 0.5 * (s_raw + np.transpose(s_raw, (0, 2, 1)))
     return OperatorModel(S=s_sym, tau=np.arange(nn) / nn, period=path.period,
-                         orbit=path.orbit, asym_residual=asym,
-                         frame_kind=path.frame_kind)
+                         asym_residual=asym)
 
 
 def _resample_S(op: OperatorModel, n_nodes: int) -> np.ndarray:
@@ -265,8 +248,6 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumRepor
 
 def generalized_cz(report: SpectrumReport, frame_correction: int):
     """Spectral index 2 wind(nu_neg) + p, moved to the global frame."""
-    from .czindex import CZResult
-
     if report.p not in (0, 1):
         raise BandTooNarrow(
             f"winding jump p = {report.p} outside {{0, 1}}; band unreliable")

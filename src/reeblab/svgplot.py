@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import orbits, leaves
+from . import knots, leaves, orbits
 from .model import HamiltonianParams
 
 VIEW = 800.0
@@ -102,18 +102,17 @@ def level_curves(p: HamiltonianParams) -> list:
     per component, level by level."""
     vals = sorted(cp.h2_value for cp in orbits.structure_of(p).axis_points)
     lo, hi = vals[0], vals[-1]
-    curves = []
     # each distinct level once, and none on an axis critical value: that
     # level is the separatrix's, whose arcs meet at the saddle and close no
     # loop (where the top critical value is 0 the four levels scaled from it
-    # are all 0)
-    for level in dict.fromkeys((0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi,
-                                0.95 * hi, 3.0 * hi, 10.0 * hi, 0.25)):
-        if any(abs(level - v) <= 1e-12 * max(1.0, abs(v)) for v in vals):
-            continue
-        components = orbits.level_components(p, level, n_loop=512)
-        curves += [loop for _, _, _, loop in components]
-    return curves
+    # are all 0); all levels' arcs in one batch, as the scan takes them
+    levels = [level for level in dict.fromkeys(
+        (0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi, 3.0 * hi,
+         10.0 * hi, 0.25))
+        if all(abs(level - v) > 1e-12 * max(1.0, abs(v)) for v in vals)]
+    per_level, rows, sums = orbits._trace_levels(p, levels)
+    return [orbits._loop_samples(p, rows, sums, lp, 512)
+            for loops in per_level for lp in loops]
 
 
 def plot_levels(p: HamiltonianParams, curves, separatrix) -> str:
@@ -202,8 +201,6 @@ def plot_atlas(p: HamiltonianParams, profiles, separatrix, trio,
 def plot_orbit_projection(p: HamiltonianParams, seed: int = 0) -> str:
     """Stereographic images of the binding orbits, projected to the first
     two coordinates of the chart."""
-    from . import knots
-
     trio = orbits.special_orbits(p)
     curves = [knots.orbit_curve(o, 512) for o in trio]
     _, projected = knots.stereographic_project(curves, seed=seed)

@@ -355,19 +355,19 @@ def test_plot_levels_draws_each_polyline_once(tmp_path):
 def test_level_curves_skip_critical_values(monkeypatch):
     """With the same coefficients the levels 0.5 hi .. 10 hi are the
     saddle's value 0, whose seeds lie on the separatrix: no loop is traced
-    on that level."""
+    on that level.  The other levels are traced in one batch."""
     p = HamiltonianParams(epsilon=0.5, a=0.3, b=-0.7, c=-1.0, d=0.5)
     lo = min(cp.h2_value for cp in orbits.structure_of(p).axis_points)
     traced = []
-    components = orbits.level_components
+    trace_levels = orbits._trace_levels
 
-    def recorded(p, level, n_loop):
-        traced.append(level)
-        return components(p, level, n_loop=n_loop)
+    def recorded(p, levels):
+        traced.append(levels)
+        return trace_levels(p, levels)
 
-    monkeypatch.setattr(orbits, "level_components", recorded)
+    monkeypatch.setattr(orbits, "_trace_levels", recorded)
     assert svgplot.level_curves(p)
-    assert traced == [0.75 * lo, 0.45 * lo, 0.2 * lo, 0.25]
+    assert traced == [[0.75 * lo, 0.45 * lo, 0.2 * lo, 0.25]]
 
 
 def test_plot_levels_separatrix_failure_is_an_error(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from reeblab import czindex, model
+from reeblab import czindex, model, orbits
 from reeblab.errors import (
     DegenerateOrbit,
     NotHyperbolic,
@@ -346,3 +346,106 @@ def test_lie_pairing_second_order_in_step(params, trio, analytic_paths):
     d2 = np.max(np.abs(pairing(h) - pairing(h / 2)))
     assert d1 > 0
     assert d1 / max(d2, 1e-300) == pytest.approx(4.0, rel=0.3)
+
+
+# ---------------------------------------------------------------------------
+# the group-law lift against the constructions it replaced
+
+
+def _concatenated_iterate(path, k):
+    """k-fold iterate by concatenating node blocks times repeated right
+    products of the end matrix (the construction before the lift)."""
+    end = path.end_matrix()
+    powers = [np.eye(2)]
+    for _ in range(k - 1):
+        powers.append(powers[-1] @ end)
+    taus = [path.tau / k] + [(path.tau[1:] + j) / k for j in range(1, k)]
+    mats = [path.mats] + [path.mats[1:] @ powers[j] for j in range(1, k)]
+    return np.concatenate(taus), np.concatenate(mats)
+
+
+def _stencil_shift(path, offset):
+    """Nodes shifted by `offset` over the periodic grid, continued by Phi(1)
+    past the end and by its inverse before the start (the construction
+    before the lift)."""
+    mats = path.mats[:-1]
+    nn = len(mats)
+    end = path.end_matrix()
+    idx = np.arange(nn) + offset
+    out = np.empty_like(mats)
+    lo, hi = idx < 0, idx >= nn
+    mid = ~(lo | hi)
+    out[mid] = mats[idx[mid]]
+    out[hi] = mats[idx[hi] - nn] @ end
+    out[lo] = mats[idx[lo] + nn] @ np.linalg.inv(end)
+    return out
+
+
+@pytest.mark.parametrize("eps", [0.4, 0.5, 0.6])
+def test_lift_bit_equal_to_concatenation_and_stencil(eps):
+    p = model.HamiltonianParams.from_preset("validated", eps)
+    for orbit in orbits.special_orbits(p):
+        analytic = czindex.analytic_monodromy_oracle(p, orbit.label,
+                                                     orbit=orbit)
+        numeric = model.restrict_linearized_to_xi(p, orbit,
+                                                  "rho_orbit_frame", 257)
+        for path in (analytic, numeric):
+            for k in range(2, 6):
+                tau, mats = _concatenated_iterate(path, k)
+                it = czindex.iterate_path(path, k)
+                assert np.array_equal(it.tau, tau)
+                assert np.array_equal(it.mats, mats)
+            nn = path.n_nodes - 1
+            _, ext = path.lift(np.arange(-2, nn + 2))
+            for offset in (-2, -1, 1, 2):
+                assert np.array_equal(ext[2 + offset:nn + 2 + offset],
+                                      _stencil_shift(path, offset))
+
+
+# ---------------------------------------------------------------------------
+# the exact Lie pairing against the finite difference over the lifted path
+
+
+def _differenced_pairing(path, section, taus, lie_step):
+    """The pairing with Phi(t) Phi(t+s)^{-1} taken from the path values
+    lifted by the group law (the construction before the exact one)."""
+    def lifted(tau):
+        j = np.floor(tau).astype(int)
+        out = path.value(tau - j)
+        for jj in set(j.tolist()) - {0}:
+            out[j == jj] = out[j == jj] @ np.linalg.matrix_power(
+                path.end_matrix(), jj)
+        return out
+
+    eta0 = section(taus)
+    phi0 = path.value(taus % 1.0)
+
+    def pulled(s):
+        rel = phi0 @ np.linalg.inv(lifted(taus + s))
+        return np.einsum("...ij,...j->...i", rel, section((taus + s) % 1.0))
+
+    lie = (pulled(lie_step) - pulled(-lie_step)) / (2.0 * lie_step * path.period)
+    return eta0[..., 0] * lie[..., 1] - eta0[..., 1] * lie[..., 0]
+
+
+def _tilted_section(taus):
+    taus = np.atleast_1d(np.asarray(taus, float))
+    return np.stack([np.ones_like(taus),
+                     0.25 * np.sin(2 * np.pi * taus)], axis=-1)
+
+
+@pytest.mark.parametrize("label", ["P1", "P2", "P3"])
+def test_lie_pairing_matches_lifted_difference(analytic_paths, label):
+    path = analytic_paths[label]
+    taus = np.arange(256) / 256
+    for section in (_const_section([1.0, 0.0]), _tilted_section):
+        got = czindex.lie_pairing(path, section, taus)
+        want = _differenced_pairing(path, section, taus, 1e-5)
+        assert np.all(np.sign(got) == np.sign(want))
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def test_lie_pairing_needs_a_generator(numeric_paths):
+    with pytest.raises(ValueError, match="constant generator"):
+        czindex.lie_pairing(numeric_paths["P2"], _tilted_section,
+                            np.arange(8) / 8)

@@ -5,8 +5,10 @@
 process writes the same reports.  Where the Python, numpy and scipy versions
 match the manifest, every file must match its digest byte for byte.
 Elsewhere the byte test is skipped and the reports are compared by value:
-strings, integers and bools exactly, floats to 1e-9 relative; the SVG
-figures are then not compared.  `python tests/golden/regen.py` rewrites the
+strings, integers and bools exactly, floats to 1e-9 relative to the
+largest magnitude of their key or CSV column, so that a value near zero
+in a column of order one may move by rounding; the SVG figures are then
+not compared.  `python tests/golden/regen.py` rewrites the
 golden files after an intended change.
 """
 
@@ -44,7 +46,20 @@ def _note(moves: dict, key: str, change) -> None:
         moves[key] = change
 
 
-def _compare(want, got, key: str, rtol: float, moves: dict) -> None:
+def _scales(value, key: str, scales: dict) -> None:
+    """The largest finite float magnitude under each key of a JSON value."""
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _scales(v, f"{key}.{k}" if key else k, scales)
+    elif isinstance(value, list):
+        for v in value:
+            _scales(v, key + "[]", scales)
+    elif isinstance(value, float) and math.isfinite(value):
+        scales[key] = max(scales.get(key, 0.0), abs(value))
+
+
+def _compare(want, got, key: str, rtol: float, scales: dict,
+             moves: dict) -> None:
     """Record in `moves` each key of two JSON values that differs."""
     if isinstance(want, dict) and isinstance(got, dict):
         for k in sorted(set(want) | set(got)):
@@ -52,20 +67,20 @@ def _compare(want, got, key: str, rtol: float, moves: dict) -> None:
             if k not in got or k not in want:
                 _note(moves, sub, "missing" if k not in got else "added")
             else:
-                _compare(want[k], got[k], sub, rtol, moves)
+                _compare(want[k], got[k], sub, rtol, scales, moves)
     elif isinstance(want, list) and isinstance(got, list):
         if len(want) != len(got):
             _note(moves, key, f"length {len(want)} -> {len(got)}")
         else:
             for a, b in zip(want, got):
-                _compare(a, b, key + "[]", rtol, moves)
+                _compare(a, b, key + "[]", rtol, scales, moves)
     elif isinstance(want, float) and isinstance(got, (int, float)) \
             and not isinstance(got, bool):
-        if math.isnan(want) or math.isnan(got):
-            if not (math.isnan(want) and math.isnan(got)):
+        if not (math.isfinite(want) and math.isfinite(got)):
+            if repr(want) != repr(got):
                 _note(moves, key, f"{want!r} -> {got!r}")
             return
-        scale = max(abs(want), abs(got))
+        scale = max(abs(want), abs(got), scales.get(key, 0.0))
         rel = 0.0 if want == got else abs(want - got) / scale
         if rel > rtol:
             _note(moves, key, rel)
@@ -83,16 +98,18 @@ def moves_of(rel: str, want: str, got: str, rtol: float) -> dict:
     two versions of one report."""
     moves = {}
     if rel.endswith(".json"):
-        _compare(json.loads(want), json.loads(got), "", rtol, moves)
+        want, got = json.loads(want), json.loads(got)
     else:
         (head_w, rows_w), (head_g, rows_g) = _csv_rows(want), _csv_rows(got)
         if head_w != head_g or len(rows_w) != len(rows_g):
             _note(moves, "(shape)", f"{len(rows_w)} rows of {head_w} -> "
                                     f"{len(rows_g)} rows of {head_g}")
-        else:
-            _compare({c: [r[i] for r in rows_w] for i, c in enumerate(head_w)},
-                     {c: [r[i] for r in rows_g] for i, c in enumerate(head_g)},
-                     "", rtol, moves)
+            return moves
+        want, got = ({c: [r[i] for r in rows] for i, c in enumerate(head_w)}
+                     for rows in (rows_w, rows_g))
+    scales = {}
+    _scales(want, "", scales)
+    _compare(want, got, "", rtol, scales, moves)
     return moves
 
 
@@ -147,3 +164,8 @@ def test_moves_name_each_key_and_column():
                     RTOL) == {"x[]": pytest.approx(0.5 / 4.5)}
     assert moves_of("r.json", want, want.replace("2.0", "2.0000000000001"),
                     RTOL) == {}
+    # a value near zero moves relative to the largest of its column
+    assert moves_of("r.csv", "x\n1\n1e-12\n", "x\n1\n1.5e-12\n",
+                    RTOL) == {}
+    assert moves_of("r.csv", "x\n1\n1e-12\n", "x\n1\n2e-9\n",
+                    RTOL) == {"x[]": pytest.approx(2e-9 - 1e-12)}

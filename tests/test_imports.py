@@ -8,6 +8,7 @@ integrate, minimise or build a k-d tree import it, at the call.  Nor does
 the validated model import numpy.ma, which costs every command its start-up.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -80,3 +81,24 @@ orbits.validate_structure(p)
 orbits.special_orbits(p)
 print("numpy.ma" in sys.modules)
 """) == "False"
+
+
+def test_no_function_local_reeblab_import():
+    """Every reeblab module imports the others at its top, so the import
+    graph is read off the module heads; only scipy is imported at the call."""
+    package = Path(reeblab.__file__).resolve().parent
+    local = []
+    for path in sorted(package.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(fn):
+                if isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""] if node.level == 0 else ["."]
+                elif isinstance(node, ast.Import):
+                    names = [a.name for a in node.names]
+                else:
+                    continue
+                if any(n == "." or n.split(".")[0] == "reeblab" for n in names):
+                    local.append(f"{path.name}:{node.lineno} in {fn.name}")
+    assert local == []

@@ -439,6 +439,44 @@ def test_loops_about_off_axis_wells(level, tau, area, monkeypatch):
         assert got_area == pytest.approx(want_area, rel=1e-8)
 
 
+def _fold_period(p, seed):
+    """Period of the loop through a fold point, by DOP853 at rtol 1e-13: the
+    time to the next crossing of the line y = seed[1] in the direction the
+    flow crosses it at the seed."""
+    from scipy.integrate import solve_ivp
+
+    def section(t, z):
+        return z[1] - seed[1]
+
+    section.direction = np.sign(model.h2_grad(p, *seed)[0])  # dy/dt = Q
+    sol = solve_ivp(orbits.planar_rhs(p), (0.0, 20.0), seed, method="DOP853",
+                    rtol=1e-13, atol=1e-14, events=section)
+    return next(t for t in sol.t_events[0] if t > 1e-6)
+
+
+@pytest.mark.parametrize("coeffs, level, tau", [
+    ((1.0, -1.0, 1.0, -2.0), -0.14, 2.9316956874),
+    ((1.0, -1.0, 1.0, -2.0), -0.13, 3.0133296326),
+    # the figure levels 0.75 and 0.45 times the lowest axis critical value
+    ((-1.36, 1.88, 0.06, -1.54), -0.12376909904818464, 2.708615472),
+    ((-1.36, 1.88, 0.06, -1.54), -0.0742614594289108, 3.340290564),
+])
+def test_loops_that_meet_no_axis(coeffs, level, tau):
+    """A loop about an off-axis well below the first level whose loops reach
+    an axis has no axis seed: it starts at the fold its flow leaves, and its
+    mirror image, the other, has the same period."""
+    a, b, c, d = coeffs
+    p = HamiltonianParams(epsilon=EPS, a=a, b=b, c=c, d=d)
+    orbits.validate_structure(p)
+    wells = [(seed, t) for seed, t, _, _ in orbits.level_components(p, level)
+             if seed[0] != 0.0 and seed[1] != 0.0]
+    assert sorted(np.sign(seed[1]) for seed, _ in wells) == [-1, 1]
+    assert wells[0][1] == pytest.approx(wells[1][1], rel=1e-13)
+    for seed, got in wells:
+        assert got == pytest.approx(tau, abs=1e-9)
+        assert got == pytest.approx(_fold_period(p, seed), rel=1e-9)
+
+
 def test_arc_quadrature_refuses_an_unconverged_rule(params, monkeypatch):
     """With 8 nodes an arc's rule and its 4-node half disagree: the loop is
     refused by name, not reported."""
