@@ -749,7 +749,7 @@ def resonant_orbit_scan(
     conservative minimal action <= action_bound (m1 rounded up to the next
     admissible ratio within 1e-6, over m2 = 1..8).  An empty result is
     the success mode.  Every level's loops come from one batch of arcs
-    (level_components), and the Hessian-period claim takes its h_sup over
+    (_trace_levels), and the Hessian-period claim takes its h_sup over
     the arc nodes; only candidates get sampled loops.
     """
     vals = sorted(cp.h2_value for cp in structure_of(p).axis_points)
