@@ -372,9 +372,9 @@ def _cmd_atlas(cfg, out: Path, args):
     # the separatrix is traced; a valid structure has a saddle at the origin
     trio = orbits.special_orbits(p)
     separatrix = orbits.separatrix_and_homoclinics(p)
-    atlas = leaves.foliation_atlas(p, separatrix)
+    atlas = leaves.foliation_atlas(p)
     payload = {"leaves": {}, "binding_orbits": {}, "separatrix_shadow": {}}
-    for iid, entry in atlas["leaves"].items():
+    for iid, entry in atlas.items():
         diag = asdict(entry["diagnostics"])
         diag["strong_section_sign"] = diag.pop("section_pairing_sign")
         payload["leaves"][iid] = {
@@ -385,14 +385,16 @@ def _cmd_atlas(cfg, out: Path, args):
                            entry["profile"].asymptote_pos],
             **diag,
         }
-    for label, orb in atlas["binding_orbits"].items():
-        payload["binding_orbits"][label] = {
+    for orb in trio:
+        payload["binding_orbits"][orb.label] = {
             "z2": orb.z2_datum.tolist(), "period": orb.reeb_period,
         }
-    payload["separatrix_shadow"]["status"] = atlas["separatrix_shadow"]["status"]
-    payload["homoclinic_report"] = atlas["homoclinic_report"]
+    payload["separatrix_shadow"]["status"] = (
+        "conjectural shadow of the off-axis rigid cylinders"
+        " (not explicitly constructed)")
+    payload["homoclinic_report"] = separatrix[2]
     _write(out / "atlas.json", dumps(payload))
-    profiles = {iid: entry["profile"] for iid, entry in atlas["leaves"].items()}
+    profiles = {iid: entry["profile"] for iid, entry in atlas.items()}
     _write(out / "atlas.svg", svgplot.plot_atlas(
         p, profiles, separatrix, trio, svgplot.level_curves(p)))
 

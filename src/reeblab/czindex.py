@@ -28,7 +28,7 @@ from .errors import (
     VanishingSection,
 )
 from . import model
-from .model import SymplecticPath, _expm_generator
+from .model import SymplecticPath
 from .orbits import ReebOrbit
 
 # Smallest |d(lambda)(eta, L_R eta)| / |eta|^2 that counts as a strict sign
@@ -61,18 +61,23 @@ class CZResult:
 
 
 def _direction_turns(path: SymplecticPath, dirs: np.ndarray) -> np.ndarray:
-    """Windings (n_dirs,) of Phi(t) applied to unit directions, in turns;
-    raises SamplingTooCoarse if any per-step increment exceeds pi/2 after
-    one refinement."""
-    mats = path.mats
-    for attempt in range(2):
-        turns, step = model.winding_turns(np.einsum("nij,dj->nid", mats, dirs))
+    """Windings (n_dirs,) of Phi(t) applied to unit directions, in turns.
+    A step of pi/2 or more leaves them ambiguous: a generator path is then
+    refined once, exactly, to 4 (n - 1) + 1 nodes, and any other path, or a
+    refined one still that coarse, raises SamplingTooCoarse."""
+    for refined in (False, True):
+        turns, step = model.winding_turns(
+            np.einsum("nij,dj->nid", path.mats, dirs))
         if np.max(step) < 0.5 * np.pi:
             return turns
-        if attempt == 0:
-            mats = path.resampled(4 * (path.n_nodes - 1) + 1).mats
-    raise SamplingTooCoarse(f"angle increments up to {np.max(step):.3g} exceed "
-                            "pi/2 even after refinement")
+        if refined or path.constant_generator is None:
+            break
+        path = SymplecticPath.from_generator(
+            path.constant_generator, path.period, 4 * (path.n_nodes - 1) + 1)
+    why = ("even after refinement" if refined else
+           "on a path with no constant generator to refine it by")
+    raise SamplingTooCoarse(
+        f"angle increments up to {np.max(step):.3g} exceed pi/2 {why}")
 
 
 def winding_number(path: SymplecticPath, z0) -> float:
@@ -190,8 +195,7 @@ def analytic_monodromy_oracle(p, which: str, n_samples: int = 256, *,
     constant linearization [[0, k1], [k2, 0]] scaled by the period; no
     integration, so neither `p` nor the label `which` is read."""
     gen = np.array([[0.0, orbit.k1], [orbit.k2, 0.0]])
-    return SymplecticPath.from_generator(gen, orbit.reeb_period, n_samples,
-                                         "rho_orbit_frame")
+    return SymplecticPath.from_generator(gen, orbit.reeb_period, n_samples)
 
 
 def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
@@ -202,8 +206,7 @@ def iterate_path(path: SymplecticPath, k: int) -> SymplecticPath:
     if k == 1:
         return path
     tau, mats = path.lift(np.arange(k * (path.n_nodes - 1) + 1))
-    return SymplecticPath(tau=tau / k, mats=mats, frame_kind=path.frame_kind,
-                          period=k * path.period,
+    return SymplecticPath(tau=tau / k, mats=mats, period=k * path.period,
                           constant_generator=path.constant_generator)
 
 
@@ -218,7 +221,7 @@ def rotation_path(turns: float, n_samples: int = 256,
                   period: float = 1.0) -> SymplecticPath:
     """Rigid rotation test path by `turns` full turns."""
     gen = 2.0 * np.pi * turns / period * np.array([[0.0, -1.0], [1.0, 0.0]])
-    return SymplecticPath.from_generator(gen, period, n_samples, "test")
+    return SymplecticPath.from_generator(gen, period, n_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -230,20 +233,18 @@ def lie_pairing(path: SymplecticPath, section: Callable, taus: np.ndarray,
     """d(lambda)(eta, L_R eta) at the given parameters.  The Lie derivative
     L_R eta(t) = d/ds [Phi(t) Phi(t+s)^{-1} eta(t+s)] / T at s=0 is a
     centered finite difference in s of the flow-pulled section.  The path
-    must carry a constant generator A (ValueError otherwise), for which
-    Phi(t) Phi(t+s)^{-1} = exp(-s T A) exactly.
+    must carry a constant generator A (path.value raises ValueError
+    otherwise): Phi(t) Phi(t+s)^{-1} = exp(-s T A) = path.value(-s) exactly.
 
     `section` maps parameter arrays to frame coordinates (..., 2); the frame
     is symplectic, so the pairing is the 2x2 determinant.
     """
-    if path.constant_generator is None:
-        raise ValueError("the Lie pairing needs a path with a constant generator")
     taus = np.asarray(taus, float)
     d = lie_step
     eta0 = section(taus)
 
     def pulled(s):
-        rel = _expm_generator(path.constant_generator, -s * path.period)
+        rel = path.value(-s)
         return np.einsum("ij,...j->...i", rel, section((taus + s) % 1.0))
 
     lie = (pulled(d) - pulled(-d)) / (2.0 * d * path.period)

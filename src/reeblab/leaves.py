@@ -478,13 +478,9 @@ def fredholm_index(mu_pos: int, mu_negs, n_punctures: int) -> int:
     return mu_pos - sum(mu_negs) - 2 + n_punctures
 
 
-def foliation_atlas(p: HamiltonianParams, separatrix):
-    """All four explicit leaves with diagnostics, role labels, index
-    arithmetic and the separatrix shadow standing in for the off-axis
-    rigid cylinders (which the symmetric ansatz cannot reach).
-
-    `separatrix` is the result of orbits.separatrix_and_homoclinics."""
-    trio = {o.label: o for o in orbits.special_orbits(p)}
+def foliation_atlas(p: HamiltonianParams):
+    """All four explicit leaves, {interval: entry}, each entry with its
+    profile, grid, diagnostics, role label and index arithmetic."""
     mus = {"P1": 1, "P2": 2, "P3": 3}
     leaves = {}
     for interval_id in INTERVALS:
@@ -510,15 +506,4 @@ def foliation_atlas(p: HamiltonianParams, separatrix):
             "fredholm_index": ind,
             "wind_pi": wind_pi,
         }
-    (g1, g2), _, conv = separatrix
-    return {
-        "leaves": leaves,
-        "binding_orbits": trio,
-        "separatrix_shadow": {
-            "gamma1": g1,
-            "gamma2": g2,
-            "status": "conjectural shadow of the off-axis rigid cylinders"
-                      " (not explicitly constructed)",
-        },
-        "homoclinic_report": conv,
-    }
+    return leaves

@@ -190,11 +190,6 @@ def dlambda0(u, v):
     )
 
 
-def contact_eval(z, u, v):
-    """Pair (lambda0(z)(u), dlambda0(u, v)) by the exact formulas."""
-    return lambda0(z, u), dlambda0(u, v)
-
-
 def hamiltonian_vf(p: HamiltonianParams, z):
     """Hamiltonian vector field X_H = (-y1, x1, -P, Q)."""
     z = np.asarray(z, float)
@@ -457,15 +452,14 @@ class SymplecticPath:
     """Path of 2x2 symplectic matrices on the unit parameter interval.
 
     `mats[j]` expresses the linearized Reeb flow over physical time
-    `period * tau[j]` restricted to the contact plane, in the frame named by
-    `frame_kind`; the last node closes the period.  Paths built from a
-    constant generator keep it in `constant_generator` and can be evaluated
-    at arbitrary parameters.
+    `period * tau[j]` restricted to the contact plane, in the frame it was
+    built in; the last node closes the period.  Paths built from a constant
+    generator keep it in `constant_generator`, and only they can be
+    evaluated between their nodes.
     """
 
     tau: np.ndarray
     mats: np.ndarray
-    frame_kind: str
     period: float
     constant_generator: Optional[np.ndarray] = None
 
@@ -477,15 +471,14 @@ class SymplecticPath:
                              f"starts at {self.mats[0].tolist()}")
 
     @classmethod
-    def from_generator(cls, gen: np.ndarray, period: float, n_samples: int,
-                       frame_kind: str) -> "SymplecticPath":
+    def from_generator(cls, gen: np.ndarray, period: float,
+                       n_samples: int) -> "SymplecticPath":
         """The exact path exp(t * gen) on n_samples uniform nodes over one
         period."""
         tau = np.linspace(0.0, 1.0, n_samples)
         mats = _expm_generator(gen, period * tau)
         mats[0] = np.eye(2)
-        return cls(tau=tau, mats=mats, frame_kind=frame_kind, period=period,
-                   constant_generator=gen)
+        return cls(tau=tau, mats=mats, period=period, constant_generator=gen)
 
     @property
     def n_nodes(self) -> int:
@@ -518,23 +511,14 @@ class SymplecticPath:
         return self.tau[r] + j, mats
 
     def value(self, tau):
-        """Evaluate at arbitrary parameters (exact for generator paths,
-        linear matrix interpolation otherwise)."""
+        """exp(period * tau * A) at arbitrary parameters tau, exactly, for a
+        path with constant generator A; raises ValueError for any other
+        path, whose matrices are known at its nodes alone."""
+        if self.constant_generator is None:
+            raise ValueError("evaluation between nodes needs a path with a "
+                             "constant generator")
         tau = np.asarray(tau, float)
-        if self.constant_generator is not None:
-            return _expm_generator(self.constant_generator, self.period * tau)
-        idx = np.clip(np.searchsorted(self.tau, tau) - 1, 0, len(self.tau) - 2)
-        t0 = self.tau[idx]
-        t1 = self.tau[idx + 1]
-        w = ((tau - t0) / (t1 - t0))[..., None, None]
-        return (1.0 - w) * self.mats[idx] + w * self.mats[idx + 1]
-
-    def resampled(self, n_nodes: int) -> "SymplecticPath":
-        tau = np.linspace(0.0, 1.0, n_nodes)
-        mats = self.value(tau)
-        mats[0] = np.eye(2)
-        return SymplecticPath(tau, mats, self.frame_kind, self.period,
-                              constant_generator=self.constant_generator)
+        return _expm_generator(self.constant_generator, self.period * tau)
 
 
 def _expm_generator(gen: np.ndarray, times) -> np.ndarray:
@@ -628,12 +612,7 @@ def restrict_linearized_to_xi(
 
     phi = np.array(phi)
     phi[0] = np.eye(2)
-    path = SymplecticPath(
-        tau=traj.t / T,
-        mats=phi,
-        frame_kind=frame_kind,
-        period=T,
-    )
+    path = SymplecticPath(tau=traj.t / T, mats=phi, period=T)
     defect = path.det_defect()
     if defect > 1e-7:
         raise DegenerateFrame(f"path symplecticity defect {defect:g} exceeds tolerance")

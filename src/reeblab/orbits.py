@@ -372,7 +372,7 @@ def planar_period_and_area(
 ):
     """Hamiltonian-time period and enclosed signed area of the planar loop
     of H2 through `seed` on the given level, by DOP853: the reference that
-    level_components' closed-form arcs are tested against.
+    level_loops' closed-form arcs are tested against.
 
     Return (tau, area, loop), loop 2048 samples at equal time steps from
     the seed.  The loop meets the axis y = 0 at two times t_a < t_b, half
@@ -608,17 +608,24 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
     return loops
 
 
-def _trace_levels(p: HamiltonianParams, levels):
-    """The loops of each level (_level_loops), with their periods and signed
-    areas from one batch of arc quadratures.  Returns (loops per level, the
-    piece rows, _arc_sums by the full rule).  Raises SlowConvergence where
-    the ARC_NODES and ARC_NODES / 2 node rules disagree beyond ARC_RTOL."""
+def level_loops(p: HamiltonianParams, levels):
+    """The loops of each level from closed-form arcs, integrating nothing:
+    per level, those through an axis seed in seed order, then those about
+    off-axis wells, which meet no axis, from a fold (_level_loops).
+
+    All levels' arcs are one batch of quadratures.  Each loop record has
+    its `seed`, its Hamiltonian-time period `tau`, its `area` signed by the
+    flow (positive counterclockwise), the (x, |y|) quadrature `nodes` of
+    its arcs (H2 is even in y), and the batch's `arcs` that loop_samples
+    reads.  Raises SlowConvergence where the ARC_NODES and ARC_NODES / 2
+    node rules disagree beyond ARC_RTOL.
+    """
     rows = []
     per_level = [_level_loops(p, level, rows) for level in levels]
     loops = [(level, lp) for level, lps in zip(levels, per_level)
              for lp in lps]
     if not loops:
-        return per_level, None, None
+        return per_level
     rows = np.array(rows, complex)
     # loop n runs piece k on branch s once per entry
     n, k, s = np.array([(n, k, s) for n, (_, lp) in enumerate(loops)
@@ -635,19 +642,22 @@ def _trace_levels(p: HamiltonianParams, levels):
             f"{level:g}: the {ARC_NODES}- and {ARC_NODES // 2}-node arc "
             f"quadratures give tau {tau[i]:.17g} and {tau2[i]:.17g}, area "
             f"{area[i]:.17g} and {area2[i]:.17g}")
+    # the records hold the batch, and nothing in it refers back to them
+    piece_tau, _, x, y, dt = sums[0]
     for (_, lp), t, a in zip(loops, tau.tolist(), area.tolist()):
-        lp.tau, lp.area = t, a
-    return per_level, rows, sums[0]
+        ids = sorted({k for ks, _, _, _ in lp.segments for k in ks})
+        lp.tau, lp.area, lp.arcs = t, a, (rows, piece_tau, dt)
+        lp.nodes = np.column_stack([x[ids].ravel(), y[ids].ravel()])
+    return per_level
 
 
-def _loop_samples(p: HamiltonianParams, rows: np.ndarray, sums, lp,
-                  n_loop: int) -> np.ndarray:
-    """n_loop points of the loop at equal time steps from its seed, in the
-    flow direction, to the accuracy of linear interpolation between the
-    16 ARC_NODES + 1 equally spaced phi of each piece at which _arc_rule
-    gives the time."""
-    tau, dt = sums[0], sums[4]
-    k, m, d = np.array([(k, m, d) for ks, _, m, d in lp.segments
+def loop_samples(p: HamiltonianParams, loop, n_loop: int) -> np.ndarray:
+    """n_loop points of a loop of level_loops at equal time steps from its
+    seed, in the flow direction, to the accuracy of linear interpolation
+    between the 16 ARC_NODES + 1 equally spaced phi of each piece at which
+    _arc_rule gives the time."""
+    rows, tau, dt = loop.arcs
+    k, m, d = np.array([(k, m, d) for ks, _, m, d in loop.segments
                         for k in (ks if d > 0 else ks[::-1])]).T
     # each piece once, though a loop that meets the axis runs it twice
     fine = _arc_rule(dt.shape[1])[2]
@@ -659,36 +669,20 @@ def _loop_samples(p: HamiltonianParams, rows: np.ndarray, sums, lp,
     times[d < 0] = tau[k[d < 0], None] - times[d < 0, ::-1]
     times += np.concatenate([[0.0], np.cumsum(tau[k])[:-1]])[:, None]
     g = np.arange(len(k))[:, None] + np.linspace(0.0, 1.0, times.shape[1])
-    row = int(np.flatnonzero(k == lp.start[0])[0])
-    u = 2.0 / np.pi * math.asin(math.sqrt(lp.start[1]))
+    row = int(np.flatnonzero(k == loop.start[0])[0])
+    u = 2.0 / np.pi * math.asin(math.sqrt(loop.start[1]))
     t0 = np.interp(row + (u if d[row] > 0 else 1.0 - u), g.ravel(),
                    times.ravel())
-    g = np.interp((t0 + lp.tau * np.arange(n_loop) / n_loop) % lp.tau,
+    g = np.interp((t0 + loop.tau * np.arange(n_loop) / n_loop) % loop.tau,
                   times.ravel(), g.ravel())
     row = np.minimum(g.astype(int), len(k) - 1)
     s2, c2 = np.sin(0.5 * np.pi * (g - row)) ** 2, np.sin(
         0.5 * np.pi * (row + 1 - g)) ** 2
     s2, c2 = np.where(d[row] > 0, s2, c2), np.where(d[row] > 0, c2, s2)
     x, y2, _ = _arc_values(p, rows[k[row]], s2[:, None], c2[:, None])
-    loop = np.column_stack([x[:, 0], m[row] * np.sqrt(y2[:, 0])])
-    loop[0] = lp.seed
-    return loop
-
-
-def level_components(p: HamiltonianParams, level: float,
-                     n_loop: int = 2048):
-    """Each component of the level set H2 = level once, from closed-form
-    arcs (_level_loops), integrating nothing: those through an axis seed,
-    then those about off-axis wells, which meet no axis, from a fold.
-
-    Returns a list of (seed, tau, area, loop) in seed order: the
-    Hamiltonian-time period, the area signed by the flow (positive
-    counterclockwise) and n_loop points from the seed in the flow
-    direction, at equal time steps.
-    """
-    (loops,), rows, sums = _trace_levels(p, [level])
-    return [(lp.seed, lp.tau, lp.area,
-             _loop_samples(p, rows, sums, lp, n_loop)) for lp in loops]
+    samples = np.column_stack([x[:, 0], m[row] * np.sqrt(y2[:, 0])])
+    samples[0] = loop.seed
+    return samples
 
 
 def claim_hessian_period(
@@ -749,8 +743,8 @@ def resonant_orbit_scan(
     conservative minimal action <= action_bound (m1 rounded up to the next
     admissible ratio within 1e-6, over m2 = 1..8).  An empty result is
     the success mode.  Every level's loops come from one batch of arcs
-    (_trace_levels), and the Hessian-period claim takes its h_sup over
-    the arc nodes; only candidates get sampled loops.
+    (level_loops), and the Hessian-period claim takes its h_sup over the
+    arc nodes; only candidates get sampled loops.
     """
     vals = sorted(cp.h2_value for cp in structure_of(p).axis_points)
     if level_lo is None:
@@ -760,7 +754,7 @@ def resonant_orbit_scan(
 
     levels = [level_lo + (k + 0.5) * (level_hi - level_lo) / n_levels
               for k in range(n_levels)]
-    per_level, rows, sums = _trace_levels(p, levels)
+    per_level = level_loops(p, levels)
     candidates = []
     diagnostics = []
     for level, loops in zip(levels, per_level):
@@ -772,15 +766,13 @@ def resonant_orbit_scan(
             i = int(np.argmin(actions))
             action, m1, m2 = float(actions[i]), int(m1[i]), int(m2[i])
             # the Hessian norm is even in y: the arc nodes cover the loop
-            ids = sorted({k for ids, _, _, _ in lp.segments for k in ids})
-            claim = claim_hessian_period(p, np.column_stack(
-                [sums[2][ids].ravel(), sums[3][ids].ravel()]), tau)
+            claim = claim_hessian_period(p, lp.nodes, tau)
             if action <= action_bound:
                 candidates.append({
                     "level": level, "seed": seed, "m1": m1, "m2": m2,
                     "tau": tau, "area": area, "action": action,
                     "claim_pass": claim["pass"],
-                    "loop": _loop_samples(p, rows, sums, lp, 2048),
+                    "loop": loop_samples(p, lp, 2048),
                 })
             else:
                 diagnostics.append({

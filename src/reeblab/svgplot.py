@@ -2,9 +2,9 @@
 
 Output is byte-stable: fixed viewBox, fixed styles, fixed float formatting,
 elements emitted in sorted construction order, and no timestamps.  Level
-curves of the planar factor are traced as orbits of the planar Hamiltonian
-flow (its trajectories are the level sets), which keeps the polylines
-smooth and compact.
+curves of the planar factor are the loops of orbits.level_loops, built from
+closed-form arcs and sampled at equal time steps of the planar Hamiltonian
+flow, which keeps the polylines smooth and compact.
 """
 
 from __future__ import annotations
@@ -110,9 +110,8 @@ def level_curves(p: HamiltonianParams) -> list:
         (0.75 * lo, 0.45 * lo, 0.2 * lo, 0.5 * hi, 0.95 * hi, 3.0 * hi,
          10.0 * hi, 0.25))
         if all(abs(level - v) > 1e-12 * max(1.0, abs(v)) for v in vals)]
-    per_level, rows, sums = orbits._trace_levels(p, levels)
-    return [orbits._loop_samples(p, rows, sums, lp, 512)
-            for loops in per_level for lp in loops]
+    return [orbits.loop_samples(p, loop, 512)
+            for loops in orbits.level_loops(p, levels) for loop in loops]
 
 
 def plot_levels(p: HamiltonianParams, curves, separatrix) -> str:

@@ -48,8 +48,8 @@ def spectra_256(params, analytic_paths):
 
 
 @pytest.fixture(scope="session")
-def atlas(params, separatrix):
-    return leaves.foliation_atlas(params, separatrix)
+def atlas(params):
+    return leaves.foliation_atlas(params)
 
 
 @pytest.fixture(scope="session")

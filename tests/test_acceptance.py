@@ -103,16 +103,15 @@ def test_criterion_4_linking(params, trio):
 
 def test_criterion_5_leaves(params, trio, atlas):
     t1, t3 = trio[0].reeb_period, trio[2].reeb_period
-    entries = atlas["leaves"]
-    ok = len(entries) == 4
+    ok = len(atlas) == 4
     details = []
     for iid in leaves.INTERVALS:
-        prof = entries[iid]["profile"]
-        d1 = entries[iid]["diagnostics"]
+        prof = atlas[iid]["profile"]
+        d1 = atlas[iid]["diagnostics"]
         grid2 = leaves.assemble_leaf(
             params, leaves.integrate_profile(params, iid,
                                              n_s=2 * len(prof.s) - 1),
-            2 * len(entries[iid]["grid"].t))
+            2 * len(atlas[iid]["grid"].t))
         d2 = leaves.leaf_diagnostics(params, grid2)
         ratio = d1.cr_residual_max / d2.cr_residual_max
         ok = ok and 3.5 <= ratio <= 4.5
@@ -125,10 +124,10 @@ def test_criterion_5_leaves(params, trio, atlas):
             if label == "removable":
                 continue
             verdict = leaves.strong_section_check(
-                params, entries[iid]["grid"], end)["verdict"]
+                params, atlas[iid]["grid"], end)["verdict"]
             ok = ok and verdict == "strong"
-    e_plane = entries["plane_to_P3"]["diagnostics"].hofer_energy
-    m_cyl = entries["cyl_P3_P1"]["diagnostics"].mass_neg_end
+    e_plane = atlas["plane_to_P3"]["diagnostics"].hofer_energy
+    m_cyl = atlas["cyl_P3_P1"]["diagnostics"].mass_neg_end
     ok = ok and abs(e_plane - t3) < 1e-6 and abs(m_cyl - t1) < 1e-6
     details.append(f"E(plane)={e_plane:.8f} m(cyl)={m_cyl:.8f}")
     _report("5 leaves", ok, "; ".join(details))

@@ -105,6 +105,9 @@ def test_atlas_command(tmp_path):
     payload = json.loads((tmp_path / "atlas.json").read_text())
     assert set(payload["leaves"]) == {"disk_to_P2", "cyl_P2_P1",
                                       "cyl_P3_P1", "plane_to_P3"}
+    assert list(payload["binding_orbits"]) == ["P1", "P2", "P3"]
+    assert "conjectural" in payload["separatrix_shadow"]["status"]
+    assert payload["homoclinic_report"]["end_distance_forward"] <= 1e-4
     assert (tmp_path / "atlas.svg").exists()
 
 
@@ -359,13 +362,13 @@ def test_level_curves_skip_critical_values(monkeypatch):
     p = HamiltonianParams(epsilon=0.5, a=0.3, b=-0.7, c=-1.0, d=0.5)
     lo = min(cp.h2_value for cp in orbits.structure_of(p).axis_points)
     traced = []
-    trace_levels = orbits._trace_levels
+    level_loops = orbits.level_loops
 
     def recorded(p, levels):
         traced.append(levels)
-        return trace_levels(p, levels)
+        return level_loops(p, levels)
 
-    monkeypatch.setattr(orbits, "_trace_levels", recorded)
+    monkeypatch.setattr(orbits, "level_loops", recorded)
     assert svgplot.level_curves(p)
     assert traced == [[0.75 * lo, 0.45 * lo, 0.2 * lo, 0.25]]
 

@@ -8,6 +8,7 @@ from reeblab.errors import (
     DegenerateOrbit,
     NotHyperbolic,
     RoundingUnsafe,
+    SamplingTooCoarse,
     VanishingSection,
 )
 
@@ -25,6 +26,21 @@ def test_winding_of_rigid_rotation():
     for phi in (0.0, 0.4, 1.7):
         z = [np.cos(phi), np.sin(phi)]
         assert czindex.winding_number(path, z) == pytest.approx(0.3, abs=1e-9)
+
+
+def test_path_without_generator_is_not_refined():
+    """A 100-turn rotation on 64 nodes turns by 9.97 rad a step, which
+    wraps to 2.59, more than any winding count resolves.  Without its
+    generator the path has nothing between its nodes to refine by, so the
+    count refuses it at once rather than count the turns of matrices
+    interpolated between the nodes (-26 where 100 is right)."""
+    path = czindex.rotation_path(100.0, 64)
+    bare = model.SymplecticPath(tau=path.tau, mats=path.mats,
+                                period=path.period)
+    with pytest.raises(SamplingTooCoarse, match="up to 2.59 .* no constant "
+                       "generator") as err:
+        czindex.winding_number(bare, [1.0, 0.0])
+    assert "even after refinement" not in str(err.value)
 
 
 def test_middle_orbit_winding_in_unit_interval(analytic_paths):

@@ -102,3 +102,34 @@ def test_no_function_local_reeblab_import():
                 if any(n == "." or n.split(".")[0] == "reeblab" for n in names):
                     local.append(f"{path.name}:{node.lineno} in {fn.name}")
     assert local == []
+
+
+def test_no_private_name_of_another_module():
+    """No reeblab module imports another's `_`-prefixed name or reads one
+    off it as `module._name`: each module is used through its public
+    names alone."""
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    package = Path(reeblab.__file__).resolve().parent
+    reached = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        modules = set()  # local names bound to reeblab modules
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ImportFrom) or not (
+                    node.level or (node.module or "").startswith("reeblab")):
+                continue
+            source = (node.module or "").removeprefix("reeblab").lstrip(".")
+            for alias in node.names:
+                if not source:  # from . import model
+                    modules.add(alias.asname or alias.name)
+                elif private(alias.name):  # from .model import _name
+                    reached.append(
+                        f"{path.name}:{node.lineno} {source}.{alias.name}")
+        reached += [f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and private(node.attr)]
+    assert sorted(reached) == []

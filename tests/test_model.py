@@ -141,9 +141,9 @@ def test_integrate_flow_not_star_shaped_guard(params, with_variational):
 
 
 def test_contact_eval_values():
-    lam, _ = model.contact_eval([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0])
+    lam = model.lambda0([1, 0, 0, 0], [0, 1, 0, 0])
     assert lam == pytest.approx(0.5, abs=0)
-    _, dl = model.contact_eval([0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0])
+    dl = model.dlambda0([1, 0, 0, 0], [0, 1, 0, 0])
     assert dl == 1.0
 
 

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -278,6 +281,14 @@ def test_scan_reports_each_component_once(params):
                         and e["area"] == pytest.approx(f["area"], rel=1e-6))
 
 
+def _components(p, level, n_loop=2048):
+    """(seed, tau, area, samples) of each loop of the level, in the order of
+    orbits.level_loops, with n_loop samples at equal time steps."""
+    (loops,) = orbits.level_loops(p, [level])
+    return [(lp.seed, lp.tau, lp.area, orbits.loop_samples(p, lp, n_loop))
+            for lp in loops]
+
+
 @pytest.mark.parametrize("offset", [1e-5, -1e-5, 1e-8, -1e-8])
 def test_level_components_match_every_seed_traced(params, offset):
     """Oracle: trace every non-critical axis seed and group the loops by
@@ -287,7 +298,7 @@ def test_level_components_match_every_seed_traced(params, offset):
     saddle = next(cp for cp in params.structure.points
                   if cp.hessian_signature == "saddle")
     level = saddle.h2_value + offset
-    comps = orbits.level_components(params, level)
+    comps = _components(params, level)
     areas = []
     for seed in orbits.axis_level_seeds(params, level):
         if np.hypot(*model.h2_grad(params, seed[0], seed[1])) < 1e-9:
@@ -323,8 +334,7 @@ def test_arcs_match_the_ode_trace(params):
     for levels, n_loop in ((_scan_levels(params, 64), 2048),
                            (_figure_levels(params), 512)):
         for level in levels:
-            for seed, tau, area, loop in orbits.level_components(
-                    params, level, n_loop=n_loop):
+            for seed, tau, area, loop in _components(params, level, n_loop):
                 traced += 1
                 want_tau, want_area, want_loop = orbits.planar_period_and_area(
                     params, level, seed)
@@ -374,7 +384,7 @@ def test_arcs_trace_the_kidney_loop_hugging_the_separatrix(params):
     its seeds to 1e-9."""
     level = _scan_levels(params, 64)[60]
     assert level == pytest.approx(-2.5e-4, rel=1e-2)
-    (seed, tau, _, _), = orbits.level_components(params, level)
+    (seed, tau, _, _), = _components(params, level)
     assert seed[0] == pytest.approx(1.274, abs=1e-3)
     for z in orbits.axis_level_seeds(params, level):
         assert tau == pytest.approx(_fine_period(params, z), rel=1e-9)
@@ -386,7 +396,7 @@ def test_arcs_match_a_fine_trace_next_to_the_saddle(params, offset):
     slow passage by it; the trace from there, at rtol 1e-13, agrees with
     that loop's period to 1e-9.  (The rtol 1e-10 trace from x = 1.2743 is
     off by 1.7e-5 at level 1e-8.)"""
-    comps = orbits.level_components(params, offset)
+    comps = _components(params, offset)
     near = [z for z in orbits.axis_level_seeds(params, offset)
             if 1e-6 < np.hypot(*z) < 0.1]
     assert near
@@ -404,8 +414,7 @@ def test_inner_and_outer_ovals_share_their_period(eps):
     p = HamiltonianParams.from_preset("validated", eps)
     top = max(cp.h2_value for cp in orbits.validate_structure(p).points)
     for frac in (0.001, 0.1, 0.5, 0.9):
-        (_, outer, _, _), (_, inner, _, _) = orbits.level_components(
-            p, frac * top, n_loop=64)
+        (_, outer, _, _), (_, inner, _, _) = _components(p, frac * top, 64)
         assert inner == pytest.approx(outer, rel=1e-11)
 
 
@@ -425,7 +434,7 @@ def test_loops_about_off_axis_wells(level, tau, area, monkeypatch):
     rhs = orbits.planar_rhs
     monkeypatch.setattr(orbits, "planar_rhs",
                         lambda p: calls.append(p) or rhs(p))
-    comps = orbits.level_components(p, level)
+    comps = _components(p, level)
     assert calls == []
     monkeypatch.undo()
     assert len(comps) == 2
@@ -468,7 +477,7 @@ def test_loops_that_meet_no_axis(coeffs, level, tau):
     a, b, c, d = coeffs
     p = HamiltonianParams(epsilon=EPS, a=a, b=b, c=c, d=d)
     orbits.validate_structure(p)
-    wells = [(seed, t) for seed, t, _, _ in orbits.level_components(p, level)
+    wells = [(seed, t) for seed, t, _, _ in _components(p, level)
              if seed[0] != 0.0 and seed[1] != 0.0]
     assert sorted(np.sign(seed[1]) for seed, _ in wells) == [-1, 1]
     assert wells[0][1] == pytest.approx(wells[1][1], rel=1e-13)
@@ -482,7 +491,23 @@ def test_arc_quadrature_refuses_an_unconverged_rule(params, monkeypatch):
     refused by name, not reported."""
     monkeypatch.setattr(orbits, "ARC_NODES", 8)
     with pytest.raises(SlowConvergence, match="8- and 4-node arc quadratures"):
-        orbits.level_components(params, -0.02)
+        orbits.level_loops(params, [-0.02])
+
+
+def test_loop_records_free_their_batch_without_the_cycle_collector(params):
+    """A loop record holds its batch of arcs and nothing in the batch refers
+    back to it, so dropping the records frees the batch by reference
+    counting alone: a cycle would keep each batch of arcs alive until the
+    cycle collector ran."""
+    gc.collect()
+    gc.disable()
+    try:
+        per_level = orbits.level_loops(params, [-0.02, 0.01])
+        batch = [weakref.ref(a) for a in per_level[0][0].arcs]
+        del per_level
+        assert [ref() for ref in batch] == [None] * len(batch)
+    finally:
+        gc.enable()
 
 
 def _chunked_period_and_area(p, seed, n_loop):
@@ -613,16 +638,22 @@ def test_claim_rejects_constant_loop(params):
         orbits.claim_hessian_period(params, loop, 1.0)
 
 
-def test_separatrix_crossings_match_quadratic_roots(separatrix):
+@pytest.mark.parametrize("eps", [0.5, 0.8])
+def test_separatrix_crossings_match_quadratic_roots(eps):
     # oracle: roots of x^2/2 + eps a x + eps^2 c = 0 (nonzero factor of the
-    # planar function restricted to the axis)
-    (g1, g2), _, _ = separatrix
+    # planar function restricted to the axis); the horizon is the Reeb time
+    # back to the launch point, so both legs end next to P2 at every eps
+    p = HamiltonianParams.from_preset("validated", eps)
+    orbits.validate_structure(p)
+    (g1, g2), _, report = orbits.separatrix_and_homoclinics(p)
     a, c = -5.0 / 3.0, 1.0
     disc = np.sqrt(a * a - 2 * c)
-    r_small = EPS * (-a - disc)
-    r_large = EPS * (-a + disc)
+    r_small = eps * (-a - disc)
+    r_large = eps * (-a + disc)
     assert g1.axis_crossings[0] == pytest.approx(r_small, abs=1e-8)
     assert g2.axis_crossings[0] == pytest.approx(r_large, abs=1e-8)
+    assert report["end_distance_forward"] < 1e-4
+    assert report["end_distance_backward"] < 1e-4
 
 
 def test_separatrix_on_zero_level(separatrix, params):

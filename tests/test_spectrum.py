@@ -31,8 +31,7 @@ def test_coefficient_path_finite_difference_route():
     and check it against the closed form."""
     theta = 0.3
     path = czindex.rotation_path(theta, 257)
-    stripped = SymplecticPath(tau=path.tau, mats=path.mats,
-                              frame_kind=path.frame_kind, period=path.period)
+    stripped = SymplecticPath(tau=path.tau, mats=path.mats, period=path.period)
     op = spectrum.build_S(stripped)
     assert op.asym_residual < 1e-6
     assert np.max(np.abs(op.S - 2 * np.pi * theta * np.eye(2))) < 1e-6
