@@ -34,7 +34,10 @@ class NotClosed(ReebLabError):
 
 
 class NoReturn(ReebLabError):
-    """A trajectory did not return to its section within the time horizon."""
+    """A trajectory did not return to its section within the time horizon,
+    or a separatrix branch meets no axis: x^2 / 2 + eps a x + eps^2 c, the
+    saddle level on the axis, has no real root, or the branch comes back to
+    the saddle first."""
 
     def __init__(self, message, elapsed=None):
         super().__init__(message)

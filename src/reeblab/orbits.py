@@ -6,8 +6,10 @@ of the full flow, giving the three binding orbits.  This module finds and
 classifies the critical points, builds the orbits with their closed-form
 periods, measures actions of general product loops, builds each component
 of a planar level set once from closed-form arcs, scans resonant levels for
-low-action competitors, and traces the saddle separatrix whose product with
-the base circle is the homoclinic set.
+low-action competitors, and builds the saddle separatrix, whose product
+with the base circle is the homoclinic set, from the arcs of the saddle's
+level.  No command integrates a planar ODE: the DOP853 tracer
+planar_period_and_area is the tests' reference for the arcs.
 """
 
 from __future__ import annotations
@@ -102,8 +104,13 @@ class ReebOrbit:
 
 @dataclass
 class SeparatrixBranch:
+    """One loop of the saddle's level H2 = 0: 4001 planar points on that
+    level, 2001 at equal time steps from the point 1e-6 from the saddle to
+    the apex and their mirror images back; the signed area it encloses,
+    positive counterclockwise; and the apex."""
+
     branch_id: str  # 'gamma1' | 'gamma2'
-    samples: np.ndarray  # planar points on the zero level of H2
+    samples: np.ndarray
     enclosed_area: float
     axis_crossings: np.ndarray  # the apex, its one crossing of y = 0
 
@@ -304,7 +311,7 @@ def orbit_action(curve: np.ndarray) -> float:
 
 def planar_rhs(p: HamiltonianParams):
     # plain floats into model.h2_grad: this closure is the hot path of every
-    # planar integration (periods, separatrices, level tracing)
+    # planar integration, all of them the tests' references
     def rhs(t, z):
         q, pp = model.h2_grad(p, float(z[0]), float(z[1]))
         return (-pp, q)
@@ -336,8 +343,8 @@ def _trace_to_axis(p: HamiltonianParams, z0, sense: float, horizon: float,
     H2 is even in y, so R(x, y) = (x, -y) reverses the planar flow
     (Devaney, Trans. AMS 218, 1976).  An orbit that meets Fix(R), the axis,
     at time t_b is R-symmetric about it: z(t_b + u) = R z(t_b - u).  So a
-    loop, or a separatrix branch, is integrated only up to an axis crossing,
-    and the rest is its mirror image.  Returns (dense, t_a, t_b): the dense
+    loop is integrated only up to an axis crossing, and the rest is its
+    mirror image.  Returns (dense, t_a, t_b): the dense
     output on [0, t_b], the first crossing in the opposite direction (None
     if there is none before t_b) and the closing crossing t_b.  Raises
     NoReturn, `what` and the time elapsed, when the flow does not close
@@ -428,12 +435,13 @@ ARC_RTOL = 1e-12
 def _arc_rule(n: int):
     """The n-node Gauss-Legendre rule on phi in [0, pi], built at first use
     (leggauss costs O(n^3)): sin^2(phi/2) at the nodes, symmetric so that
-    cos^2(phi/2) is the same reversed; the weights; and the matrix taking
+    cos^2(phi/2) is the same reversed; the weights; the matrix taking
     dt/dphi at the nodes to t, the integral from 0 of its Legendre
-    interpolant, at 16n + 1 equally spaced phi.  That matrix is built by
-    einsum and applied one piece at a time: a multithreaded BLAS matrix
-    product of either size took 100 times as long as a single-threaded one
-    on a 2-vCPU host."""
+    interpolant, at 16n + 1 equally spaced phi; and the matrices taking it
+    to the Legendre coefficients in xi = 2 phi / pi - 1 of dt/dxi and of t.
+    They are built by einsum and applied one piece at a time: a
+    multithreaded BLAS matrix product of either size took 100 times as long
+    as a single-threaded one on a 2-vCPU host."""
     xi, w = np.polynomial.legendre.leggauss(n)
     k = np.arange(n)
     vander = np.polynomial.legendre.legvander
@@ -442,28 +450,48 @@ def _arc_rule(n: int):
     prim = np.column_stack([at[:, 1] + at[:, 0],
                             (at[:, 2:] - at[:, :-2]) / (2.0 * k[1:] + 1.0)])
     coef = (k + 0.5)[:, None] * vander(xi, n - 1).T * w
+    # the same integral on the coefficients
+    lift = np.zeros((n + 1, n))
+    lift[0, 0] = lift[1, 0] = 1.0
+    lift[k[1:] + 1, k[1:]] = 1.0 / (2.0 * k[1:] + 1.0)
+    lift[k[1:] - 1, k[1:]] = -1.0 / (2.0 * k[1:] + 1.0)
+    rate = 0.5 * np.pi * coef
     return (np.sin(0.25 * np.pi * (1.0 + xi)) ** 2, 0.5 * np.pi * w,
-            0.5 * np.pi * np.einsum("gk,kn->gn", prim, coef))
+            0.5 * np.pi * np.einsum("gk,kn->gn", prim, coef), rate,
+            np.einsum("ak,kn->an", lift, rate))
 
 
 def _arc_values(p: HamiltonianParams, rows: np.ndarray, s2, c2):
-    """x, Y_s and D at sin^2(phi/2) = s2, cos^2(phi/2) = c2 on arc pieces
-    x = x0 + (x1 - x0) sin^2(phi/2), a row each: (x0, x1, branch s, D's
-    leading coefficient, the roots of A and of D, padded with nan to 7).
+    """x, Y_s, D and dx/dphi at sin^2(phi/2) = s2, cos^2(phi/2) = c2 on arc
+    pieces, a row each: (x0, x1, branch s, D's leading coefficient, kind,
+    the roots of A and of D, padded with nan to 7).  A piece runs from x0
+    to x1, either way.  Kind 0 is x = x0 + (x1 - x0) sin^2(phi/2); kind 1,
+    for the separatrix next to the saddle, where the time diverges like
+    ln|x|, is the same map in u = ln|x|: x = x0 (x1 / x0)^(sin^2(phi/2)).
 
     A factor x - r of A or D is taken from the nearer end, as
-    (x1 - x0) s2 + (x0 - r) or (x1 - r) - (x1 - x0) c2, and Y_s on the
-    branch that vanishes as 2A / Y_-s: both keep their relative accuracy up
-    to the ends, where they vanish, and next to a root just past an end.
+    (x - x0) + (x0 - r) or (x1 - r) - (x1 - x), and Y_s on the branch that
+    vanishes as 2A / Y_-s: both keep their relative accuracy up to the
+    ends, where they vanish, and next to a root just past an end.
     """
-    x0, x1, s, lead = rows[:, :4].real.T
+    x0, x1, s, lead, kind = rows[:, :5].real.T
     span = (x1 - x0)[:, None]
-    r = rows[:, None, 4:]
+    # x - x0, x1 - x and dx/dphi
+    dlo, dhi, jac = span * s2, span * c2, span * np.sqrt(s2 * c2)
+    if kind.any():
+        log = kind > 0
+        ell = np.zeros_like(x0)
+        ell[log] = np.log(x1[log] / x0[log])
+        log, ell = log[:, None], ell[:, None]
+        dlo = np.where(log, x0[:, None] * np.expm1(ell * s2), dlo)
+        dhi = np.where(log, -x1[:, None] * np.expm1(-ell * c2), dhi)
+        jac = np.where(log, (x0[:, None] + dlo) * ell * np.sqrt(s2 * c2), jac)
+    r = rows[:, None, 5:]
     lo, hi = x0[:, None, None] - r, x1[:, None, None] - r
-    f = np.where(np.abs(lo) <= np.abs(hi), (span * s2)[..., None] + lo,
-                 hi - (span * c2)[..., None])
+    f = np.where(np.abs(lo) <= np.abs(hi), dlo[..., None] + lo,
+                 hi - dhi[..., None])
     f = np.where(np.isnan(r), 1.0, f)
-    x = x0[:, None] + span * s2
+    x = x0[:, None] + dlo
     b = x * (x + p.epsilon * p.b) + p.epsilon ** 2 * p.d
     d = lead[:, None] * f[..., 4:].prod(axis=-1).real
     root = np.sqrt(np.maximum(d, 0.0))
@@ -471,23 +499,68 @@ def _arc_values(p: HamiltonianParams, rows: np.ndarray, s2, c2):
     q = np.where(b < 0.0, root - b, -root - b)
     y2 = np.where((s[:, None] > 0) == (b < 0.0), q,
                   f[..., :4].prod(axis=-1).real / q)
-    return x, y2, d
+    return x, y2, d, jac
 
 
 def _arc_sums(p: HamiltonianParams, rows: np.ndarray, n: int):
-    """Per piece, by the n-node rule: the time int dx / (2 y sqrt(D)) and
-    int y dx, with x, y and dt/dphi at the nodes."""
-    s2, w, _ = _arc_rule(n)
+    """Per piece, by the n-node rule: the time int |dx| / (2 y sqrt(D)) and
+    int y dx, y >= 0 and x running from x0 to x1, with x, y and dt/dphi at
+    the nodes."""
+    s2, w, _, _, _ = _arc_rule(n)
     # a critical level leaves zeros and nans, which the guard refuses;
     # 64 rows at a time, as all of the scan's at once take 6 MB
     with np.errstate(divide="ignore", invalid="ignore"):
-        x, y2, d = (np.concatenate(v) for v in zip(*(
+        x, y2, d, dx = (np.concatenate(v) for v in zip(*(
             _arc_values(p, rows[i:i + 64], s2, s2[::-1])
             for i in range(0, len(rows), 64))))
-        dx = (rows[:, 1] - rows[:, 0]).real[:, None] * np.sqrt(s2 * s2[::-1])
         y = np.sqrt(y2)
-        dt = 0.5 * dx / (y * np.sqrt(d))
+        dt = 0.5 * np.abs(dx) / (y * np.sqrt(d))
     return dt @ w, (y * dx) @ w, x, y, dt
+
+
+def _level_roots(p: HamiltonianParams, level: float):
+    """The coefficients of A = H2(x, 0) - level, a quartic, and of
+    D = B^2 - 2A, a cubic without its vanishing leading ones (see
+    _level_loops); their roots, A's first, real where the imaginary part
+    is below 1e-10, as for the axis seeds; and the real ones sorted, each
+    with whether it is a root of A, an axis crossing."""
+    e = p.epsilon
+    ca = [0.5, e * p.a, e * e * p.c, 0.0, -level]
+    cd = [2.0 * e * (p.b - p.a), e * e * (p.b * p.b + 2.0 * p.d - 2.0 * p.c),
+          2.0 * e ** 3 * p.b * p.d, e ** 4 * p.d * p.d + 2.0 * level]
+    while cd and cd[0] == 0.0:
+        cd.pop(0)
+    roots = np.concatenate([np.roots(ca), np.roots(cd)]).astype(complex)
+    real = np.abs(roots.imag) < 1e-10
+    roots[real] = roots[real].real
+    return ca, cd, roots.tolist(), sorted(
+        (roots[i].real, i < 4) for i in np.flatnonzero(real))
+
+
+def _arc_edges(xl: float, xr: float, rts: list) -> list:
+    """The piece edges of an arc over [xl, xr], given the roots of A and D.
+
+    Every root is singular for the integrands or, past a fold, for their
+    continuation: cuts at steps growing 16-fold toward its nearest point
+    on the arc, and toward each end from the cut nearest it over the arc's
+    half on that side, keep each piece at most 16 times as long as its
+    distance from them."""
+    cuts = set()
+    for r in rts:
+        near = min(max(r.real, xl), xr)
+        step = abs(r - near)
+        if step < xr - xl:
+            cuts.add(near)
+        while 0.0 < step < xr - xl:
+            cuts.update((near - step, near + step))
+            step *= 16.0
+    for end in (xl, xr):
+        step = 16.0 * min([abs(c - end) for c in cuts if xl < c < xr]
+                         or [math.inf])
+        while step < 0.5 * (xr - xl):
+            cuts.update((end - step, end + step))
+            step *= 16.0
+    return [xl, *sorted(c for c in cuts if xl < c < xr), xr]
 
 
 def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
@@ -511,19 +584,10 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
     crit = [cp.location for cp in structure_of(p).points]
     seeds = [z for z in axis_level_seeds(p, level)
              if min(math.dist(z, c) for c in crit) >= 1e-6]
-    ca = [0.5, e * p.a, e * e * p.c, 0.0, -level]
-    cd = [2.0 * e * (p.b - p.a), e * e * (p.b * p.b + 2.0 * p.d - 2.0 * p.c),
-          2.0 * e ** 3 * p.b * p.d, e ** 4 * p.d * p.d + 2.0 * level]
-    while cd and cd[0] == 0.0:
-        cd.pop(0)
+    # breakpoints (x, is an axis crossing), and the branches on each gap
+    ca, cd, rts, bps = _level_roots(p, level)
     if not cd:
         return []
-    roots = np.concatenate([np.roots(ca), np.roots(cd)]).astype(complex)
-    real = np.abs(roots.imag) < 1e-10  # as for the axis seeds
-    roots[real] = roots[real].real
-    # breakpoints (x, is an axis crossing), and the branches on each gap
-    bps = sorted((roots[i].real, i < 4) for i in np.flatnonzero(real))
-    rts = roots.tolist()
     xs = np.array([x for x, _ in bps])
     mid = 0.5 * (xs[1:] + xs[:-1])
     a, d = np.polyval(ca, mid), np.polyval(cd, mid)
@@ -533,31 +597,10 @@ def _level_loops(p: HamiltonianParams, level: float, rows: list) -> list:
                   (-1, (d > 0) & (a > 0) & (b < 0))):
         edge = np.flatnonzero(np.diff(np.concatenate([[0], on, [0]])))
         for i, j in zip(edge[::2].tolist(), edge[1::2].tolist()):
-            # every root is singular for the integrands or, past a fold, for
-            # their continuation: cuts at steps growing 16-fold toward its
-            # nearest point on the arc, and toward each end from the cut
-            # nearest it over the arc's half on that side, keep each piece
-            # at most 16 times as long as its distance from them
-            xl, xr = float(xs[i]), float(xs[j])
-            cuts = set()
-            for r in rts:
-                near = min(max(r.real, xl), xr)
-                step = abs(r - near)
-                if step < xr - xl:
-                    cuts.add(near)
-                while 0.0 < step < xr - xl:
-                    cuts.update((near - step, near + step))
-                    step *= 16.0
-            for end in (xl, xr):
-                step = 16.0 * min([abs(c - end) for c in cuts if xl < c < xr]
-                                 or [math.inf])
-                while step < 0.5 * (xr - xl):
-                    cuts.update((end - step, end + step))
-                    step *= 16.0
-            edges = [xl, *sorted(c for c in cuts if xl < c < xr), xr]
+            edges = _arc_edges(float(xs[i]), float(xs[j]), rts)
             arcs.append((i, j, s, list(range(len(rows),
                                              len(rows) + len(edges) - 1))))
-            rows += [(u, v, s, cd[0], *rts, *[np.nan] * (7 - len(rts)))
+            rows += [(u, v, s, cd[0], 0, *rts, *[np.nan] * (7 - len(rts)))
                      for u, v in zip(edges, edges[1:])]
     loops, seen = [], set()
 
@@ -679,7 +722,7 @@ def loop_samples(p: HamiltonianParams, loop, n_loop: int) -> np.ndarray:
     s2, c2 = np.sin(0.5 * np.pi * (g - row)) ** 2, np.sin(
         0.5 * np.pi * (row + 1 - g)) ** 2
     s2, c2 = np.where(d[row] > 0, s2, c2), np.where(d[row] > 0, c2, s2)
-    x, y2, _ = _arc_values(p, rows[k[row]], s2[:, None], c2[:, None])
+    x, y2, _, _ = _arc_values(p, rows[k[row]], s2[:, None], c2[:, None])
     samples = np.column_stack([x[:, 0], m[row] * np.sqrt(y2[:, 0])])
     samples[0] = loop.seed
     return samples
@@ -818,32 +861,140 @@ def saddle_eigendirections(p: HamiltonianParams):
     return v_unst, v_stab, mu
 
 
-def _trace_branch(p: HamiltonianParams, direction: np.ndarray, mu: float):
-    """Samples, axis crossing and enclosed area of the separatrix branch
-    leaving the saddle 1e-6 along `direction`, with the dense output of its
-    integrated half and the time t_apex at which it meets the axis.
+def _separatrix_branch(p: HamiltonianParams, side: float, rows: list):
+    """The separatrix branch that leaves the saddle toward x of sign `side`,
+    as arcs of the level H2 = 0 from its launch point to its apex.
 
-    The branch is integrated by _trace_to_axis to its first crossing of
-    y = 0, its apex, and the rest is the mirror image of that half, which
-    comes back to the saddle at 2 t_apex.  Raises NoReturn when the branch
-    does not meet the axis within the horizon.
+    At the saddle A has a double root and B = eps^2 d, so the branch
+    leaves on the Y_s that vanishes there, s = sign d.  It runs on Y_s to
+    the nearest root ahead of D, a fold, where it turns back on the other
+    branch, or of A where Y_s vanishes: there Y_+ Y_- = 2A = 0 and
+    Y_+ + Y_- = -2B, so s = sign B.  That root is its apex on the axis.
+    dx/dt = -2 y s sqrt(D), so y keeps the sign m = -side s up to the apex.
+    The launch point is the point of the branch 1e-6 from the saddle.  From
+    there to halfway to the first turn the time diverges like ln|x|, and 4
+    pieces of kind 1, geometric in x, take it; the rest of each arc is cut
+    as in _level_loops.  The pieces are appended to `rows` in flow order.
+    Returns a record with their indices `pieces`, the `apex` x and `m`.
+    Raises NoReturn when the branch comes back to the saddle without
+    meeting the axis.
     """
-    offset = 1e-6
-    # leaving the saddle from offset and coming back to it each take about
-    # (1 / mu) ln(1 / offset) at the saddle rate mu, and the apex lies
-    # halfway: 0.50-0.54 times the sum over eps = 0.5 ... 1.5 (77.8 against
-    # 156.3 at eps = 0.5).  Twice the sum is the horizon
-    horizon = 2.0 * (2.0 / mu) * np.log(1.0 / offset)
-    z0 = offset * direction
-    dense, _, t_apex = _trace_to_axis(
-        p, z0, -math.copysign(1.0, z0[1]), horizon, 1e-13, 1e-16,
-        "separatrix branch did not meet the axis y = 0")
-    half = dense(np.linspace(0.0, t_apex, 2001)).T
-    samples = np.vstack([half, half[-2::-1] * np.array([1.0, -1.0])])
-    # the last sample closes the loop at the saddle; the periodic rule
-    # counts it once, as the first
-    area = _loop_area(p, samples[:-1], 2.0 * t_apex)
-    return samples, float(half[-1, 0]), area, dense, t_apex
+    e = p.epsilon
+    _, cd, rts, stops = _level_roots(p, 0.0)
+
+    def row(u, v, s, kind):
+        return (u, v, s, cd[0], kind, *rts, *[np.nan] * (7 - len(rts)))
+
+    s0 = 1 if p.d > 0.0 else -1
+    x, s, direction, arcs, apex = 0.0, s0, side, [], False
+    for _ in stops:
+        ahead = [(r, on_axis) for r, on_axis in stops
+                 if (r - x) * direction > 0.0 and not (
+                     on_axis and (r * (r + e * p.b) + e * e * p.d > 0.0)
+                     != (s > 0))]
+        if not ahead:
+            break
+        end, apex = min(ahead, key=lambda z: abs(z[0] - x))
+        arcs.append((x, end, s))
+        if apex:
+            break
+        x, s, direction = end, -s, -direction
+    if not apex or end == 0.0:
+        raise NoReturn(
+            f"the separatrix branch toward x {'>' if side > 0 else '<'} 0 "
+            "returns to the saddle without meeting the axis")
+
+    # x^2 + Y_s(x) = 1e-12: Y_s / x^2 changes by O(x) near the saddle, so
+    # each pass gains six digits
+    x = side * 1e-6
+    for _ in range(3):
+        _, y2, _, _ = _arc_values(p, np.array([row(x, x, s0, 0)], complex),
+                                  0.0, 1.0)
+        x = side * 1e-6 / math.sqrt(1.0 + y2[0, 0] / (x * x))
+    start = len(rows)
+    for k, (u, v, s) in enumerate(arcs):
+        if k == 0:
+            edges = np.geomspace(x, 0.5 * v, 5).tolist()
+            rows += [row(a, b, s, 1) for a, b in zip(edges, edges[1:])]
+            u = edges[-1]
+        edges = _arc_edges(min(u, v), max(u, v), rts)
+        if v < u:
+            edges.reverse()
+        rows += [row(a, b, s, 0) for a, b in zip(edges, edges[1:])]
+    return SimpleNamespace(pieces=np.arange(start, len(rows)), m=-side * s0,
+                           apex=end)
+
+
+def _arc_places(tau: np.ndarray, dt: np.ndarray, times: np.ndarray,
+                more: np.ndarray):
+    """Where a chain of arc pieces, given by their times `tau` and dt/dphi
+    at the nodes `dt` in flow order, is at `times` from its start: the
+    piece j and xi = 2 phi / pi - 1 on it, found by Newton on the integral
+    of the piece's Legendre interpolant of dt/dphi, and there the integral
+    from the chain's start of the interpolants of `more`, values at the
+    nodes like `dt`.
+
+    On a piece sin^2(phi/2) is analytic in the time: linear at a regular
+    end, where dt/dphi vanishes as sin(phi), and quadratic at a fold or an
+    apex, where dt/dphi stays finite.  So the first guess, its interpolant
+    through the nearest 6 of the 16 ARC_NODES + 1 points at which
+    _arc_rule gives the time, already meets the tolerance on the
+    separatrix (within 1e-14 of the branch's time at eps 0.5), and Newton
+    only guards it.  Raises SlowConvergence when 8 Newton steps leave a
+    point off its time by more than 1e-13 of the chain's.
+    """
+    n = dt.shape[1]
+    _, w, fine, rate, prim = _arc_rule(n)
+    start = np.concatenate([[0.0], np.cumsum(tau)])
+    table = np.array([fine @ v for v in dt])
+    table[:, -1] = tau
+    table += start[:-1, None]
+    s2 = np.sin(np.linspace(0.0, 0.5 * np.pi, table.shape[1])) ** 2
+    j, c = np.divmod(np.searchsorted(table.ravel(), times, side="right") - 1,
+                     table.shape[1])
+    c = np.clip(c - 2, 0, table.shape[1] - 6)[:, None] + np.arange(6)
+    tk, dd = table[j[:, None], c], s2[c]
+    # Newton's divided differences, then Horner
+    for k in range(1, 6):
+        dd[:, k:] = (dd[:, k:] - dd[:, k - 1:-1]) / (tk[:, k:] - tk[:, :-k])
+    guess = dd[:, 5]
+    for k in range(4, -1, -1):
+        guess = guess * (times - tk[:, k]) + dd[:, k]
+    xi = 4.0 / np.pi * np.arcsin(np.sqrt(np.clip(guess, 0.0, 1.0))) - 1.0
+    # each piece's dt/dxi and t as Legendre series in xi, t = 0 at xi = -1,
+    # applied to its points as one block: sorted by piece
+    order = np.argsort(j, kind="stable")
+    j, xi, local = j[order], xi[order], (times - start[j])[order]
+    cuts = np.searchsorted(j, np.arange(len(tau) + 1)).tolist()
+    blocks = [(k, slice(a, b)) for k, (a, b) in enumerate(zip(cuts, cuts[1:]))
+              if a < b]
+
+    def series(at, coeffs):
+        out = np.empty(len(at))
+        for k, b in blocks:
+            out[b] = at[b, :coeffs.shape[1]] @ coeffs[k]
+        return out
+
+    slopes, times_of = (np.einsum("pn,kn->pk", dt, m) for m in (rate, prim))
+    tol = 1e-13 * start[-1]
+    for _ in range(8):
+        at = np.polynomial.legendre.legvander(xi, n)
+        miss = series(at, times_of) - local
+        off = np.abs(miss) > tol
+        if not off.any():
+            break
+        step = np.divide(miss, series(at, slopes), out=np.zeros_like(miss),
+                         where=off)
+        xi = np.clip(xi - step, -1.0, 1.0)
+    else:
+        raise SlowConvergence(
+            f"arc samples off their times by {np.max(np.abs(miss)):.3g} "
+            "after 8 Newton steps")
+    integral = np.concatenate([[0.0], np.cumsum(more @ w)])[j] + series(
+        at, np.einsum("pn,kn->pk", more, prim))
+    back = np.empty_like(order)
+    back[order] = np.arange(len(order))
+    return j[back], xi[back], integral[back]
 
 
 def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
@@ -856,65 +1007,114 @@ def distance_to_orbit_set(orbit: ReebOrbit, states: np.ndarray) -> np.ndarray:
 
 
 def separatrix_and_homoclinics(p: HamiltonianParams):
-    """Trace both separatrix branches of the planar saddle and build the
-    product homoclinic trajectory with its convergence report.
+    """Both separatrix branches of the planar saddle from closed-form arcs,
+    and the product homoclinic trajectory with its convergence report.
 
-    The branches gamma1 (inner loop) and gamma2 (outer loop) are launched
-    1e-6 along the unstable eigendirection, integrated to their apex on the
-    axis and closed by the planar reversing symmetry; the homoclinic is the
-    Reeb-flow trajectory through the apex of gamma1, with end distances to
-    the hyperbolic binding orbit reported.
+    The branches gamma1 (inner loop, the nearer apex) and gamma2 (outer
+    loop) leave the saddle on the level H2 = 0 itself, from the point 1e-6
+    from it (_separatrix_branch).  Each is one batch of Gauss-Legendre arc
+    quadratures up to its apex on the axis, and the planar reversing
+    symmetry closes it: its time t_apex and area come from the ARC_NODES
+    rule, which must agree with the ARC_NODES / 2 one to ARC_RTOL, or the
+    call raises SlowConvergence.  No ODE is integrated.  Its 2001 samples
+    at equal time steps to the apex are placed by Newton on the pieces'
+    time interpolants (_arc_places), then mirrored back to the saddle.
 
-    No 4-D flow is integrated.  H = r^2 / 2 + H2 is split, so in
-    Hamiltonian time sigma the pair (x1, y1) = r (cos sigma, sin sigma)
-    turns at unit rate with r^2 = x1^2 + y1^2 fixed, while (x2, y2) runs the
-    planar flow of H2.  R(x, y) = (x, -y) reverses that flow, so from the
-    apex it runs gamma1's integrated half backward and mirrored:
-    w(sigma) = R z(t_apex - sigma), back to the launch point 1e-6 from the
-    saddle at sigma = t_apex.  The Reeb time is t(sigma), the integral of
-    lambda0(X_H) = s / 2 with s = r^2 + x2 Q + y2 P, by 8-node
-    Gauss-Legendre on each of the 799 sample intervals of the leg, and the
-    horizon is the Reeb time of the whole leg.  H2 is even in y2 too, so
-    the 4-D flow is reversible under R(x1, y1, x2, y2) = (x1, -y1, x2, -y2)
-    (Devaney, Trans. AMS 218, 1976); the apex is fixed by R, and the
-    backward leg is R applied to the forward one.  Raises NotStarShaped
-    where s <= 0 on the leg, at a sample or a quadrature node.
+    The homoclinic is the Reeb trajectory through the apex of gamma1, with
+    end distances to the hyperbolic binding orbit reported.
+    H = r^2 / 2 + H2 is split, so in Hamiltonian time sigma the pair
+    (x1, y1) = r (cos sigma, sin sigma) turns at unit rate with
+    r^2 = x1^2 + y1^2 fixed, while (x2, y2) runs the planar flow of H2.
+    R(x, y) = (x, -y) reverses that flow, so from the apex it runs gamma1
+    backward and mirrored: w(sigma) = R z(t_apex - sigma), back to the
+    launch point at sigma = t_apex; the 800 samples are uniform in sigma.
+    The Reeb time is the integral of lambda0(X_H) = s / 2 with
+    s = r^2 + x2 Q + y2 P, a function of the planar point, so it is a
+    third arc quadrature, of (s / 2) dt/dphi, read at the samples from the
+    same interpolants; the horizon is the Reeb time of the whole leg.  H2 is
+    even in y2 too, so the 4-D flow is reversible under
+    R(x1, y1, x2, y2) = (x1, -y1, x2, -y2) (Devaney, Trans. AMS 218, 1976);
+    the apex is fixed by R, and the backward leg is R applied to the
+    forward one.  Raises NotHyperbolic when the origin is no saddle,
+    NoReturn before any quadrature when x^2 / 2 + eps a x + eps^2 c has no
+    real root, so that no branch can meet the axis, and NotStarShaped where
+    s <= 0 on gamma1, at a node or a sample.
     """
-    v_unst, _, mu = saddle_eigendirections(p)
-    # gamma1 is the branch whose apex lies nearer the saddle
-    branches = sorted((_trace_branch(p, sign * v_unst, mu)
-                       for sign in (+1.0, -1.0)), key=lambda b: abs(b[1]))
+    saddle_eigendirections(p)  # NotHyperbolic unless c d < 0
+    e = p.epsilon
+    disc = e * e * (p.a * p.a - 2.0 * p.c)
+    if disc < 0.0:
+        raise NoReturn("the separatrix meets no axis: x^2 / 2 + eps a x + "
+                       f"eps^2 c has discriminant {disc:g} < 0")
+    rows = []
+    walks = sorted((_separatrix_branch(p, side, rows) for side in (1.0, -1.0)),
+                   key=lambda br: abs(br.apex))
+    rows = np.array(rows, complex)
+    sums = [_arc_sums(p, rows, nodes) for nodes in (ARC_NODES, ARC_NODES // 2)]
+    tau, _, x, y, dt = sums[0]
+    for br in walks:
+        k = br.pieces
+        (br.t_apex, br.area, size), (t2, area2, _) = (
+            (q[0][k].sum(), -2.0 * br.m * q[1][k].sum(),
+             2.0 * np.abs(q[1][k]).sum()) for q in sums)
+        if not (abs(br.t_apex - t2) <= ARC_RTOL * br.t_apex
+                and abs(br.area - area2) <= ARC_RTOL * size):
+            raise SlowConvergence(
+                f"separatrix branch to the apex x = {br.apex:g}: the "
+                f"{ARC_NODES}- and {ARC_NODES // 2}-node arc quadratures give "
+                f"t_apex {br.t_apex:.17g} and {t2:.17g}, area "
+                f"{br.area:.17g} and {area2:.17g}")
+
+    # lambda0(X_H) = s / 2 with s = r^2 + x2 Q + y2 P, a function of the
+    # planar point, even in y2; r^2 = 1 - 2 H2 = 1 on the level H2 = 0
+    r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, walks[0].apex, 0.0)))
+    q, pp = model.h2_grad(p, x, y)
+    s_nodes = r * r + x * q + y * pp
+    # gamma1 is sampled once for its own samples and for the homoclinic
+    # leg, which runs it from the apex back: planar time t_apex - sigma
+    sigma = np.linspace(0.0, walks[0].t_apex, 800)
+    closed = []
+    for br, leg in zip(walks, (walks[0].t_apex - sigma, [])):
+        k = br.pieces
+        j, xi, clock = _arc_places(
+            tau[k], dt[k], np.concatenate([
+                np.linspace(0.0, br.t_apex, 2001), leg]),
+            0.5 * s_nodes[k] * dt[k])
+        s2, c2 = (np.sin(0.25 * np.pi * (1.0 + v * xi))[:, None] ** 2
+                  for v in (1.0, -1.0))
+        px, y2, _, _ = _arc_values(p, rows[k[j]], s2, c2)
+        pts = np.column_stack([px[:, 0], br.m * np.sqrt(y2[:, 0])])
+        half = pts[:2001]
+        half[-1] = (br.apex, 0.0)
+        # the last sample closes the loop at the saddle
+        closed.append(np.vstack([half, half[-2::-1] * np.array([1.0, -1.0])]))
+        # the loop integral of (x dy - y dx) / 2 from the launch point to its
+        # mirror image is -2 int y dx - x y at the launch point: it closes
+        # through the saddle, where x dy - y dx vanishes on both chords
+        br.area -= half[0, 0] * half[0, 1]
+        if br is walks[0]:
+            planar, reeb_time = pts[2001:], clock[2001:]
     gamma1, gamma2 = (
         SeparatrixBranch(branch_id=f"gamma{k}", samples=samples,
-                         enclosed_area=area, axis_crossings=np.array([x]))
-        for k, (samples, x, area, _, _) in enumerate(branches, start=1))
+                         enclosed_area=float(br.area),
+                         axis_crossings=np.array([br.apex]))
+        for k, (br, samples) in enumerate(zip(walks, closed), start=1))
 
     # product homoclinic in the full phase space, parametrized from the
     # symmetric apex of the inner loop (its axis crossing) so both
     # time directions are pure decay legs toward the hyperbolic orbit
-    _, x_apex, _, half, t_apex = branches[0]
-    r = float(np.sqrt(1.0 - 2.0 * model.h2_eval(p, x_apex, 0.0)))
-
-    def leg(sigma):
-        x2, y2 = half(t_apex - sigma)
-        return np.column_stack([r * np.cos(sigma), r * np.sin(sigma), x2, -y2])
-
-    sigma = np.linspace(0.0, t_apex, 800)
-    fwd_states = leg(sigma)
-    # the dense output leaves y2 at rounding level at the apex, whose row
-    # is exactly (r, 0, x_apex, 0), with +0
-    fwd_states[0] = (r, 0.0, x_apex, 0.0)
-    nodes, weights = np.polynomial.legendre.leggauss(8)
-    step = np.diff(sigma)
-    sigma_nodes = sigma[:-1, None] + 0.5 * step[:, None] * (1.0 + nodes)
-    s_nodes = model.star_quantity(p, leg(sigma_nodes.ravel()))
-    s_min = min(np.min(s_nodes), np.min(model.star_quantity(p, fwd_states)))
+    fwd_states = np.column_stack([r * np.cos(sigma), r * np.sin(sigma),
+                                  planar[:, 0], -planar[:, 1]])
+    # the apex row is exactly (r, 0, x_apex, 0), with +0
+    fwd_states[0] = (r, 0.0, walks[0].apex, 0.0)
+    s_min = min(np.min(s_nodes[walks[0].pieces]),
+                np.min(model.star_quantity(p, fwd_states)))
     if s_min <= 0.0:
         raise NotStarShaped(f"lambda0(X_H) <= 0 (min value {s_min / 2.0:g})")
-    # Reeb time: dt / dsigma = lambda0(X_H) = s / 2
-    t = np.concatenate([[0.0], np.cumsum(
-        0.5 * step * (s_nodes.reshape(-1, 8) @ weights) / 2.0)])
-    h, _, _ = model.hamiltonian_eval(p, fwd_states)
+    # Reeb time: dt / dsigma = lambda0(X_H) = s / 2, from the apex back
+    t = reeb_time[0] - reeb_time
+    x1, y1, x2, y2 = fwd_states.T
+    h = 0.5 * (x1 * x1 + y1 * y1) + model.h2_eval(p, x2, y2)
     # the backward leg, reversed and without its t = 0 sample, which is
     # taken from the forward leg so the apex row keeps +0 in y1 and y2
     bwd_states = fwd_states[:0:-1] * np.array([1.0, -1.0, 1.0, -1.0])
@@ -932,4 +1132,3 @@ def separatrix_and_homoclinics(p: HamiltonianParams):
         "horizon": float(t[-1]),
     }
     return (gamma1, gamma2), traj, report
-

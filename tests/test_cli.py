@@ -419,9 +419,10 @@ def test_leaf_diagnostics_only_where_a_report_reads_them(tmp_path,
 
 
 def _count_integrations(monkeypatch):
-    """Record each separatrix branch, leaf profile and 4-D Reeb flow
-    integrated.  A traced separatrix is its two planar branches alone: the
-    homoclinic is built from gamma1 without integrating the 4-D flow."""
+    """Record each separatrix branch built from arcs, and each leaf profile
+    and 4-D Reeb flow integrated.  A separatrix is its two planar branches
+    alone: the homoclinic is built from gamma1 without integrating the 4-D
+    flow."""
     calls = []
 
     def counted(name, fn):
@@ -430,8 +431,8 @@ def _count_integrations(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(orbits, "_trace_branch",
-                        counted("branch", orbits._trace_branch))
+    monkeypatch.setattr(orbits, "_separatrix_branch",
+                        counted("branch", orbits._separatrix_branch))
     monkeypatch.setattr(leaves, "integrate_profile",
                         counted("profile", leaves.integrate_profile))
     monkeypatch.setattr(model, "integrate_flow",

@@ -1,10 +1,10 @@
 """Which commands load scipy.
 
 The binding orbits, their monodromy, the asymptotic spectra, the leaf
-profiles and the level loops of the resonance scan are closed forms,
-quadratures or numpy calls, so importing reeblab
-and running those commands must not import scipy; only the calls that
-integrate, minimise or build a k-d tree import it, at the call.  Nor does
+profiles, the level loops of the resonance scan and the separatrix with
+its homoclinic are closed forms, quadratures or numpy calls, so importing
+reeblab and running those commands must not import scipy; only the calls
+that integrate, minimise or build a k-d tree import it, at the call.  Nor does
 the validated model import numpy.ma, which costs every command its start-up.
 """
 
@@ -54,9 +54,14 @@ def _fresh_run(argv):
     (["spectrum", "--orbit", "P1"], 0),
     (["leaf", "--which", "plane_to_P3"], 0),
     (["scan"], 0),
+    (["homoclinic"], 0),
+    (["atlas"], 0),
+    (["plot", "--targets", "levels", "atlas", "separatrix",
+      "orbit3d-projection"], 0),
     # an axis point above the energy cap: StructureMismatch before any trace
     (["--epsilon", "2", "homoclinic"], 1),
-], ids=["import", "orbits", "spectrum", "leaf", "scan", "structure-failure"])
+], ids=["import", "orbits", "spectrum", "leaf", "scan", "homoclinic", "atlas",
+        "plot", "structure-failure"])
 def test_command_loads_no_scipy(tmp_path, command, code):
     argv = None if command is None else ["--out", str(tmp_path), *command]
     got, loaded = _fresh_run(argv)

@@ -657,10 +657,12 @@ def test_separatrix_crossings_match_quadratic_roots(eps):
 
 
 def test_separatrix_on_zero_level(separatrix, params):
+    """Every sample is a point of the level H2 = 0 by construction: y^2 is
+    the branch of the level over x."""
     (g1, g2), _, _ = separatrix
     for br in (g1, g2):
-        vals = model.h2_eval(params, br.samples[::40, 0], br.samples[::40, 1])
-        assert np.max(np.abs(vals)) < 1e-8
+        vals = model.h2_eval(params, br.samples[:, 0], br.samples[:, 1])
+        assert np.max(np.abs(vals)) < 1e-12
 
 
 def test_homoclinic_converges_to_binding_orbit(separatrix):
@@ -702,13 +704,13 @@ def test_branches_meet_the_axis_at_the_quadratic_roots(eps, monkeypatch):
     for a = -5/3, c = 1."""
     p = HamiltonianParams.from_preset("validated", eps)
     calls = []
-    traced = orbits._trace_branch
+    built = orbits._separatrix_branch
 
     def counted(*args):
         calls.append(args)
-        return traced(*args)
+        return built(*args)
 
-    monkeypatch.setattr(orbits, "_trace_branch", counted)
+    monkeypatch.setattr(orbits, "_separatrix_branch", counted)
     (g1, g2), _, _ = orbits.separatrix_and_homoclinics(p)
     assert len(calls) == 2
     assert g1.axis_crossings[0] == pytest.approx(
@@ -717,11 +719,13 @@ def test_branches_meet_the_axis_at_the_quadratic_roots(eps, monkeypatch):
         eps * (5.0 + np.sqrt(7.0)) / 3.0, abs=1e-8)
 
 
-def test_branch_that_never_meets_the_axis_stops_at_the_saddle_horizon(
+def test_branch_that_never_meets_the_axis_is_refused_before_any_work(
         monkeypatch):
     """With a = 1, b = -1, c = 1, d = -2 the branches circle the off-axis
-    wells at (0.148, +-0.743), one each, and never meet the axis: the first
-    branch is given up at twice (2 / mu) ln(1 / 1e-6)."""
+    wells at (0.148, +-0.743), one each, and never meet the axis:
+    x^2 / 2 + eps a x + eps^2 c has no real root.  The separatrix is refused
+    by its discriminant, eps^2 (a^2 - 2c) = -0.25, before any branch is
+    built, and nothing is integrated."""
     p = HamiltonianParams(epsilon=0.5, a=1.0, b=-1.0, c=1.0, d=-2.0)
     wells = [cp.location for cp in orbits.structure_of(p).points
              if cp.location[1] != 0.0]
@@ -729,6 +733,7 @@ def test_branch_that_never_meets_the_axis_stops_at_the_saddle_horizon(
                        [[0.148, -0.743], [0.148, 0.743]], atol=1e-3)
     v_unst, _, mu = orbits.saddle_eigendirections(p)
     horizon = 4.0 / mu * np.log(1e6)
+    import scipy.integrate
     from scipy.integrate import solve_ivp
 
     for sign in (+1.0, -1.0):
@@ -745,17 +750,119 @@ def test_branch_that_never_meets_the_axis_stops_at_the_saddle_horizon(
                 pytest.approx(2.0 if w[1] * z[0, 1] > 0.0 else 0.0, abs=0.01)
 
     calls = []
-    traced = orbits._trace_branch
-
-    def counted(*args):
-        calls.append(args)
-        return traced(*args)
-
-    monkeypatch.setattr(orbits, "_trace_branch", counted)
-    with pytest.raises(NoReturn) as info:
+    monkeypatch.setattr(scipy.integrate, "solve_ivp",
+                        lambda *args, **kwargs: calls.append("solve_ivp"))
+    monkeypatch.setattr(orbits, "_separatrix_branch",
+                        lambda *args: calls.append("branch"))
+    with pytest.raises(NoReturn, match=r"discriminant -0\.25 < 0"):
         orbits.separatrix_and_homoclinics(p)
-    assert len(calls) == 1
-    assert info.value.elapsed == pytest.approx(horizon, rel=1e-12)
+    assert calls == []
+
+
+def test_branch_that_returns_to_the_saddle_is_refused():
+    """With a = -1.7, b = -1.1, c = 1.4, d = -0.05 the level's axis
+    quadratic has real roots, yet each branch turns at folds back to the
+    saddle without meeting the axis, as DOP853 from the unstable direction
+    shows: it comes back within 1e-4 of the saddle on its own side of the
+    axis.  The arcs' walk refuses the separatrix by name."""
+    from scipy.integrate import solve_ivp
+
+    p = HamiltonianParams(epsilon=0.5, a=-1.7, b=-1.1, c=1.4, d=-0.05)
+    v_unst, _, mu = orbits.saddle_eigendirections(p)
+
+    def back(t, z):
+        return np.hypot(*z) - 1e-4
+
+    back.terminal, back.direction = True, -1.0
+    for sign in (+1.0, -1.0):
+        z0 = sign * 1e-6 * v_unst
+        sol = solve_ivp(orbits.planar_rhs(p), (0.0, 4.0 / mu * np.log(1e6)),
+                        z0, method="DOP853", rtol=1e-12, atol=1e-15,
+                        events=back)
+        assert len(sol.t_events[0]) == 1
+        assert np.all(sol.y[1] * z0[1] > 0.0)
+    with pytest.raises(NoReturn, match="returns to the saddle without "
+                                       "meeting the axis"):
+        orbits.separatrix_and_homoclinics(p)
+
+
+def _dop853_branch(p, z0):
+    """Oracle for a separatrix branch: DOP853 at rtol 1e-13 from its launch
+    point z0 on the level H2 = 0, run past the apex to twice the time of
+    its first crossing of the axis.  Returns the dense output and that
+    time."""
+    from scipy.integrate import solve_ivp
+
+    def x_axis(t, z):
+        return z[1]
+
+    x_axis.terminal, x_axis.direction = True, -np.sign(z0[1])
+    rhs = orbits.planar_rhs(p)
+    first = solve_ivp(rhs, (0.0, 1e4), z0, method="DOP853", rtol=1e-13,
+                      atol=1e-16, events=x_axis)
+    t_apex = float(first.t_events[0][0])
+    sol = solve_ivp(rhs, (0.0, 2.0 * t_apex), z0, method="DOP853",
+                    rtol=1e-13, atol=1e-16, dense_output=True)
+    return sol.sol, t_apex
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.7, 0.8, 1.2])
+def test_branches_match_a_dop853_trace_from_the_launch_point(eps):
+    """Oracle: DOP853 at rtol 1e-13 from each branch's own launch point.
+    gamma1's time to its apex (the base angle at the end of the leg, which
+    turns at unit rate) agrees to 1e-11 relative; both branches' 2001
+    samples at equal time steps to the apex, and the leg's 800 planar
+    states, agree to 1e-10.  Measured: at most 9.1e-13 in t_apex and
+    7.6e-12 in position (gamma2 at eps 0.8)."""
+    p = HamiltonianParams.from_preset("validated", eps)
+    (g1, g2), traj, _ = orbits.separatrix_and_homoclinics(p)
+    for br in (g1, g2):
+        dense, t_apex = _dop853_branch(p, br.samples[0])
+        half = dense(np.linspace(0.0, t_apex, 2001)).T
+        assert np.max(np.abs(br.samples[:2001] - half)) <= 1e-10
+        if br is g1:
+            fwd = traj.states[len(traj.t) // 2:]
+            leg_time = np.unwrap(np.arctan2(fwd[:, 1], fwd[:, 0]))[-1]
+            assert leg_time == pytest.approx(t_apex, rel=1e-11)
+            planar = dense(t_apex - np.linspace(0.0, t_apex, 800)).T
+            assert np.max(np.abs(fwd[:, 2:] - planar * [1.0, -1.0])) <= 1e-10
+
+
+def test_separatrix_quadrature_refuses_an_unconverged_rule(params,
+                                                          monkeypatch):
+    """With 8 nodes a branch's rule and its 4-node half disagree: the
+    separatrix is refused by name, not reported."""
+    monkeypatch.setattr(orbits, "ARC_NODES", 8)
+    with pytest.raises(SlowConvergence, match="8- and 4-node arc quadratures"):
+        orbits.separatrix_and_homoclinics(params)
+
+
+def test_arc_places_newton_refines_a_coarse_first_guess(params,
+                                                          monkeypatch):
+    """On the 8-node rule, whose time table has 129 points, the first guess
+    of a sample's place misses and Newton takes steps.  Every place then
+    meets its time on the pieces' interpolants, by numpy's own Legendre
+    fit and integral, and the integral of dt/dphi itself gives the times
+    back."""
+    legendre = np.polynomial.legendre
+    rows = []
+    branch = orbits._separatrix_branch(params, 1.0, rows)
+    tau, _, _, _, dt = orbits._arc_sums(params, np.array(rows, complex), 8)
+    tau, dt = tau[branch.pieces], dt[branch.pieces]
+    times = np.linspace(0.0, tau.sum(), 2001)
+    evals = []
+    vander = legendre.legvander
+    monkeypatch.setattr(legendre, "legvander",
+                        lambda x, n: evals.append(n) or vander(x, n))
+    j, xi, integral = orbits._arc_places(tau, dt, times, dt)
+    monkeypatch.undo()
+    assert len(evals) > 1
+    nodes, _ = legendre.leggauss(8)
+    start = np.concatenate([[0.0], np.cumsum(tau)])
+    placed = [start[k] + 0.5 * np.pi * legendre.legval(x, legendre.legint(
+        legendre.legfit(nodes, dt[k], 7), lbnd=-1.0)) for k, x in zip(j, xi)]
+    assert np.max(np.abs(np.array(placed) - times)) <= 1e-13 * times[-1]
+    assert np.max(np.abs(integral - times)) <= 1e-13 * times[-1]
 
 
 @pytest.mark.parametrize("eps", [0.3, 0.5, 0.6])
@@ -764,36 +871,27 @@ def test_mirrored_branch_half_is_the_integrated_one(eps, sign):
     """Oracle for the planar reversing symmetry: integrated on past its
     apex, a branch comes back along the mirror image of its first half,
     z(t_apex + u) = R z(t_apex - u), and its area is the Green's-theorem
-    integral of (x dy - y dx) / 2 carried along the ODE."""
+    integral of (x dy - y dx) / 2 carried along the ODE.  `sign` picks the
+    branch whose launch point has x of that sign."""
     from scipy.integrate import solve_ivp
 
     p = HamiltonianParams.from_preset("validated", eps)
-    v_unst, _, mu = orbits.saddle_eigendirections(p)
-    samples, x_apex, area, half, t_half = orbits._trace_branch(
-        p, sign * v_unst, mu)
+    branch = next(br for br in orbits.separatrix_and_homoclinics(p)[0]
+                  if np.sign(br.samples[0, 0]) == sign)
+    dense, t_apex = _dop853_branch(p, branch.samples[0])
+    assert dense(t_apex)[0] == pytest.approx(branch.axis_crossings[0],
+                                             abs=1e-12)
+    full = dense(np.linspace(0.0, 2.0 * t_apex, 4001)).T
+    assert np.max(np.abs(full - branch.samples)) <= 1e-6
     rhs = orbits.planar_rhs(p)
-
-    def x_axis(t, z):
-        return z[1]
-
-    z0 = sign * 1e-6 * v_unst
-    sol = solve_ivp(rhs, (0.0, 4.0 / mu * np.log(1e6)), z0, method="DOP853",
-                    rtol=1e-13, atol=1e-16, events=x_axis, dense_output=True)
-    t_apex = sol.t_events[0][0]
-    assert t_half == t_apex
-    assert sol.sol(t_apex)[0] == x_apex
-    grid = np.linspace(0.0, t_apex, 257)
-    assert np.array_equal(half(grid), sol.sol(grid))
-    full = sol.sol(np.linspace(0.0, 2.0 * t_apex, 4001)).T
-    assert np.max(np.abs(full - samples)) <= 1e-6
 
     def green(t, z):
         dx, dy = rhs(t, z[:2])
         return dx, dy, 0.5 * (z[0] * dy - z[1] * dx)
 
-    aug = solve_ivp(green, (0.0, 2.0 * t_apex), [*z0, 0.0], method="DOP853",
-                    rtol=1e-13, atol=1e-16)
-    assert area == pytest.approx(aug.y[2, -1], rel=1e-10)
+    aug = solve_ivp(green, (0.0, 2.0 * t_apex), [*branch.samples[0], 0.0],
+                    method="DOP853", rtol=1e-13, atol=1e-16)
+    assert branch.enclosed_area == pytest.approx(aug.y[2, -1], rel=1e-10)
 
 
 def _reeb_flow_oracle(p, z0, t_eval):
