@@ -11,10 +11,13 @@ p = wind(nu_pos) - wind(nu_neg) in {0, 1}.
 
 The dense symmetric eigenproblem is solved by LAPACK (``np.linalg.eigh``
 behind ``jacobi.jacobi_eigh``).  LAPACK fixes no basis inside a degenerate
-eigenspace, so each cluster is rotated to a deterministic basis before
-windings are read.  For constant S the discrete operator is block-circulant
-and diagonalizes mode by mode; that closed-form route stays as the
-independent cross-check of the dense solver.
+eigenspace.  The clusters that hold the stencil's sawtooth null mode are
+rotated to a deterministic basis before windings are read, so the smooth
+member keeps its winding; every other cluster keeps LAPACK's basis, since
+its sections share one winding and any mixture of them winds alike.  For
+constant S the discrete operator is block-circulant and diagonalizes mode
+by mode; that closed-form route stays as the independent cross-check of
+the dense solver.
 """
 
 from __future__ import annotations
@@ -149,35 +152,52 @@ def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
     return m
 
 
+def _degenerate_clusters(w: np.ndarray):
+    """(start, stop) of each run of two or more ascending eigenvalues that
+    lie within 1e-9 (relative to the spectrum's scale) of the run's first."""
+    tol = 1e-9 * max(np.max(np.abs(w)), 1.0)
+    vals = w.tolist()
+    runs = []
+    i = 0
+    while i < len(vals):
+        j = i + 1
+        while j < len(vals) and vals[j] - vals[i] < tol:
+            j += 1
+        if j - i > 1:
+            runs.append((i, j))
+        i = j
+    return runs
+
+
 def _disentangle_clusters(w: np.ndarray, v: np.ndarray, n_nodes: int):
-    """Rotate eigenvector bases of (near-)degenerate clusters so sawtooth
-    content concentrates in as few columns as possible.
+    """Rotate the eigenvector basis of each degenerate cluster that carries
+    sawtooth content so that content concentrates in as few columns as
+    possible.
 
     The centered periodic stencil annihilates the alternating half-mode, so
     on even grids each constant-mode eigenvalue carries an exactly
     degenerate sawtooth partner; an arbitrary orthogonal mixture would
-    spoil the winding of the smooth member.  Within each cluster the basis
-    is rotated by the right singular vectors of the sawtooth overlap, which
-    is deterministic and leaves the eigenspace unchanged.  A cluster is a
-    run of eigenvalues within 1e-9 (relative) of its first.
+    spoil the winding of the smooth member.  Such a cluster is rotated by
+    the right singular vectors of its sawtooth overlap, which is
+    deterministic and leaves the eigenspace unchanged.  A cluster (see
+    ``_degenerate_clusters``) is turned only when one of its columns has
+    sawtooth overlap above 1e-8; the overlaps of all columns come from one
+    (2 x 2n) product.  Every other cluster keeps LAPACK's basis: the
+    eigensections of one eigenvalue share one winding (Hofer-Wysocki-
+    Zehnder), so any orthogonal mixture of its smooth columns winds alike
+    and is trusted alike.
     """
     sign = np.repeat((-1.0) ** np.arange(n_nodes), 2)
     saw = np.zeros((2 * n_nodes, 2))
     saw[0::2, 0] = sign[0::2]
     saw[1::2, 1] = sign[1::2]
     saw /= np.sqrt(n_nodes)
-    scale = max(np.max(np.abs(w)), 1.0)
-    i = 0
-    while i < len(w):
-        j = i + 1
-        while j < len(w) and w[j] - w[i] < 1e-9 * scale:
-            j += 1
-        if j - i > 1:
+    heavy = np.linalg.norm(saw.T @ v, axis=0) > 1e-8
+    for i, j in _degenerate_clusters(w):
+        if heavy[i:j].any():
             block = v[:, i:j]
-            overlap = saw.T @ block
-            _, _, wt = np.linalg.svd(overlap)
+            _, _, wt = np.linalg.svd(saw.T @ block)
             v[:, i:j] = block @ wt.T[:, ::-1]  # sawtooth-light columns first
-        i = j
     return v
 
 
@@ -200,7 +220,8 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumRepor
     """Solve the discretized operator and keep the trusted central band.
 
     The full spectrum comes from LAPACK through ``jacobi_eigh``; the basis
-    of each degenerate cluster is then fixed by ``_disentangle_clusters``.
+    of each sawtooth-carrying cluster is then fixed by
+    ``_disentangle_clusters``.
     Eigensection windings come from angle accumulation over the nodes, and
     eigenpairs whose winding cannot be tracked are excluded and counted.
     """

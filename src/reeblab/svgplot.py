@@ -56,8 +56,9 @@ class SvgCanvas:
         if len(pts) < 2:
             return
         sx, sy = self._map(pts[:, 0], pts[:, 1])
-        coords = " ".join(
-            f"{a:.3f},{b:.3f}" for a, b in zip(sx.tolist(), sy.tolist()))
+        # one format call for all points; % and f"{x:.3f}" print alike
+        coords = ("%.3f,%.3f " * len(pts))[:-1] % tuple(
+            np.column_stack((sx, sy)).ravel().tolist())
         dash_attr = f' stroke-dasharray="{dash}"' if dash else ""
         self.parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}"'

@@ -355,6 +355,23 @@ def test_plot_levels_draws_each_polyline_once(tmp_path):
     assert len(polylines) == len(set(polylines))
 
 
+def test_polyline_points_print_as_per_pair_fstrings(monkeypatch):
+    """polyline formats all its points in one call; the text equals the
+    per-pair f"{a:.3f},{b:.3f}" join on signed zeros, values that print as
+    -0.000, exact ties rounded to even and coordinates above 1e5."""
+    xs = [-0.0, -0.0004, 0.0625, 0.1875, -2.0625, 123456.7895, -4.5e5,
+          1e7 + 0.0625]
+    ys = [0.0, -0.0625, -0.0, 2.5e-4, 99999.9995, -0.00049, 3.0, 7e5]
+    cv = svgplot.SvgCanvas((0.0, 1.0, 0.0, 1.0))
+    monkeypatch.setattr(cv, "_map", lambda x, y: (x, y))  # formatting alone
+    cv.polyline(np.column_stack([xs, ys]), "#000000")
+    points = re.search(r'points="([^"]*)"', cv.parts[-1]).group(1)
+    assert points == " ".join(f"{a:.3f},{b:.3f}" for a, b in zip(xs, ys))
+    assert points.split()[:3] == ["-0.000,0.000", "-0.000,-0.062",
+                                  "0.062,-0.000"]
+    assert points.split()[-1] == "10000000.062,700000.000"
+
+
 def test_level_curves_skip_critical_values(monkeypatch):
     """With the same coefficients the levels 0.5 hi .. 10 hi are the
     saddle's value 0, whose seeds lie on the separatrix: no loop is traced

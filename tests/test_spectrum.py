@@ -201,44 +201,82 @@ def test_band_too_narrow_for_unbracketed_spectrum():
         spectrum.generalized_cz(rep, 0)
 
 
+def _sawtooth_overlap(v, n_nodes):
+    """Norm of each column's projection on the two unit sawtooth vectors
+    (-1)^j e_a / sqrt(n), a = 0, 1, of the 2 n_nodes interleaved rows."""
+    sign = (-1.0) ** np.arange(n_nodes) / np.sqrt(n_nodes)
+    return np.hypot(sign @ v[0::2], sign @ v[1::2])
+
+
+@pytest.mark.parametrize("n_nodes", [128, 160])
+@pytest.mark.parametrize("source", ["analytic", "numeric"])
+@pytest.mark.parametrize("label", ["P1", "P2", "P3"])
+def test_only_sawtooth_carrying_clusters_are_turned(analytic_paths,
+                                                    numeric_paths, source,
+                                                    label, n_nodes):
+    """_disentangle_clusters turns exactly the degenerate clusters holding a
+    column with sawtooth overlap above 1e-8, puts a sawtooth-free column
+    first in each, and leaves every other column bitwise as LAPACK gave it."""
+    paths = analytic_paths if source == "analytic" else numeric_paths
+    op = spectrum.build_S(paths[label])
+    w, v = spectrum.jacobi_eigh(spectrum.assemble_matrix(op, n_nodes))
+    heavy = _sawtooth_overlap(v, n_nodes) > 1e-8
+    turned = [(i, j) for i, j in spectrum._degenerate_clusters(w)
+              if heavy[i:j].any()]
+    out = spectrum._disentangle_clusters(w, v.copy(), n_nodes)
+
+    assert len(turned) == 2
+    if op.constant_S is not None:  # the n = 0 and half-mode eigenvalues
+        assert np.allclose(sorted(w[i] for i, _ in turned),
+                           sorted(-np.diag(op.constant_S)), atol=1e-9)
+    kept = np.ones(len(w), bool)
+    for i, j in turned:
+        kept[i:j] = False
+        assert not np.array_equal(out[:, i:j], v[:, i:j])
+        # the same eigenspace, in an orthonormal basis
+        assert np.allclose(out[:, i:j].T @ out[:, i:j], np.eye(j - i),
+                           atol=1e-12)
+        proj = v[:, i:j] @ v[:, i:j].T
+        assert np.allclose(proj @ out[:, i:j], out[:, i:j], atol=1e-12)
+        assert _sawtooth_overlap(out[:, i:i + 1], n_nodes)[0] <= 1e-8
+    assert np.array_equal(out[:, kept], v[:, kept])
+
+
 @pytest.mark.parametrize("seed", range(5))
-def test_degenerate_cluster_basis_does_not_matter(analytic_paths, monkeypatch,
-                                                  seed):
+def test_degenerate_cluster_basis_does_not_matter(analytic_paths, numeric_paths,
+                                                  monkeypatch, seed):
     """LAPACK fixes no basis inside a degenerate eigenspace: a random
     rotation inside each cluster must not change the windings, the index or
-    the audit once _disentangle_clusters has run."""
-    op = spectrum.build_S(analytic_paths["P2"])
-    ref = spectrum.discretize_and_solve(op, 128)
+    the audit once _disentangle_clusters has run.  Run on P2's analytic
+    path (constant S) and its variational path (S from the stencil)."""
+    ops = [spectrum.build_S(paths["P2"])
+           for paths in (analytic_paths, numeric_paths)]
+    refs = [spectrum.discretize_and_solve(op, 128) for op in ops]
     rng = np.random.default_rng(seed)
     solve = spectrum.jacobi_eigh
     n_rotated = []
 
     def rotated_eigh(a):
         w, v = solve(a)
-        scale = max(np.max(np.abs(w)), 1.0)  # as in _disentangle_clusters
-        i = 0
-        while i < len(w):
-            j = i + 1
-            while j < len(w) and w[j] - w[i] < 1e-9 * scale:
-                j += 1
-            if j - i > 1:
-                q, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
-                v[:, i:j] = v[:, i:j] @ q
-                n_rotated.append(j - i)
-            i = j
+        for i, j in spectrum._degenerate_clusters(w):
+            q, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
+            v[:, i:j] = v[:, i:j] @ q
+            n_rotated.append(j - i)
         return w, v
 
     monkeypatch.setattr(spectrum, "jacobi_eigh", rotated_eigh)
-    rep = spectrum.discretize_and_solve(op, 128)
-    assert len(n_rotated) > 100  # the constant-S spectrum is degenerate
-    assert np.array_equal(rep.windings, ref.windings)
-    assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
-    assert rep.n_excluded == ref.n_excluded
-    assert rep.mu_tilde_frame == ref.mu_tilde_frame == 0
-    audit = spectrum.spectrum_property_audit(rep)
-    want = spectrum.spectrum_property_audit(ref)
-    assert audit["ok"] and want["ok"]
-    assert audit["two_per_winding"] == want["two_per_winding"]
-    assert audit["violations"] == want["violations"]
-    assert audit["min_independence_det"] == pytest.approx(
-        want["min_independence_det"], rel=1e-6)
+    for op, ref in zip(ops, refs):
+        n_rotated.clear()
+        rep = spectrum.discretize_and_solve(op, 128)
+        assert len(n_rotated) > 100  # both spectra are degenerate
+        assert np.array_equal(rep.windings, ref.windings)
+        assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
+        assert rep.n_excluded == ref.n_excluded
+        assert rep.mu_tilde_frame == ref.mu_tilde_frame == 0
+        audit = spectrum.spectrum_property_audit(rep)
+        want = spectrum.spectrum_property_audit(ref)
+        assert audit["ok"] and want["ok"]
+        assert audit["two_per_winding"] == want["two_per_winding"]
+        assert audit["violations"] == want["violations"]
+        assert audit["min_independence_det"] == pytest.approx(
+            want["min_independence_det"], rel=1e-6)
