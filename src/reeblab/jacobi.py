@@ -3,7 +3,10 @@
 The module name dates from a hand-written cyclic Jacobi solver that this
 call replaced; it is kept because the benchmark's set-up probe imports
 ``reeblab.jacobi.jacobi_eigh`` and its tracer wraps that function.  The
-basis LAPACK returns inside a degenerate cluster is arbitrary.
+spectral route calls it for operators whose S varies along the orbit; a
+constant-S operator is solved mode by mode in ``spectrum``, and this dense
+solve is the tests' oracle for that route.  The basis LAPACK returns
+inside a degenerate cluster is arbitrary.
 ``spectrum._disentangle_clusters`` fixes it deterministically in the
 clusters that carry the stencil's sawtooth mode; the windings read from
 any other cluster do not depend on its basis.

@@ -9,15 +9,17 @@ attained exactly twice.  The generalized index is read off the windings of
 the extremal eigenvalues around zero: mu = 2 wind(nu_neg) + p with
 p = wind(nu_pos) - wind(nu_neg) in {0, 1}.
 
-The dense symmetric eigenproblem is solved by LAPACK (``np.linalg.eigh``
-behind ``jacobi.jacobi_eigh``).  LAPACK fixes no basis inside a degenerate
-eigenspace.  The clusters that hold the stencil's sawtooth null mode are
-rotated to a deterministic basis before windings are read, so the smooth
-member keeps its winding; every other cluster keeps LAPACK's basis, since
-its sections share one winding and any mixture of them winds alike.  For
-constant S the discrete operator is block-circulant and diagonalizes mode
-by mode; that closed-form route stays as the independent cross-check of
-the dense solver.
+For constant S the discrete operator is block-circulant: the real Fourier
+basis splits it into one 4 x 4 block per mode and two 2 x 2 blocks, and it
+is solved mode by mode by one batched LAPACK call.  When S varies, the
+dense symmetric eigenproblem is solved by LAPACK (``np.linalg.eigh``
+behind ``jacobi.jacobi_eigh``); for constant S that dense solve is the
+tests' oracle for the mode route, and ``fourier_oracle_spectrum`` its
+closed form.  Neither route fixes a basis inside a degenerate eigenspace.
+The clusters that hold the stencil's sawtooth null mode are rotated to a
+deterministic basis before windings are read, so the smooth member keeps
+its winding; every other cluster keeps the solver's basis, since its
+sections share one winding and any mixture of them winds alike.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .czindex import CZResult
-from .errors import AsymmetryTooLarge, BandTooNarrow
+from .errors import AsymmetryTooLarge, BandTooNarrow, NoConvergence
 from .jacobi import jacobi_eigh
 from .model import J0, SymplecticPath, winding_turns
 
@@ -138,10 +140,14 @@ def _resample_S(op: OperatorModel, n_nodes: int) -> np.ndarray:
     return (1.0 - w) * op.S[i0] + w * op.S[i1]
 
 
-def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
-    """Exactly symmetric discretization -kron(D, J0) - blockdiag(S)."""
+def _check_n_nodes(n_nodes: int) -> None:
     if n_nodes % 2 or n_nodes < 128:
         raise ValueError(f"n_nodes must be even and at least 128, got {n_nodes}")
+
+
+def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
+    """Exactly symmetric discretization -kron(D, J0) - blockdiag(S)."""
+    _check_n_nodes(n_nodes)
     s = _resample_S(op, n_nodes)
     d = _periodic_d4(n_nodes)
     m = -np.kron(d, J0)
@@ -150,6 +156,64 @@ def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
         for b in range(2):
             m[idx + a, idx + b] -= s[:, a, b]
     return m
+
+
+def _mode_eigh(s_const: np.ndarray, n_nodes: int):
+    """Full eigendecomposition of assemble_matrix for constant S, mode by mode.
+
+    In the real Fourier basis sqrt(2/n) (cos, sin)(2 pi m j / n) of mode
+    m = 1 .. n/2 - 1 the operator is the 4 x 4 block
+    [[-S, -sigma_m J0], [sigma_m J0, -S]], sigma_m = d4_symbol(m, n); on
+    the constant and the alternating mode the stencil vanishes and it is
+    -S.  The blocks go to LAPACK in one batched call and the eigenvectors
+    are mapped back onto the nodes.  Returns (w, V) laid out as
+    jacobi_eigh returns them for the dense matrix, eigenvalues ascending by
+    a stable sort, and refuses the inputs that route refuses with the same
+    ValueError or NoConvergence.
+    """
+    _check_n_nodes(n_nodes)
+    s = np.asarray(s_const, float)
+    bad = int(np.count_nonzero(~np.isfinite(s)))
+    if bad:  # each entry of S fills n_nodes entries of the dense matrix
+        raise ValueError(f"matrix has {n_nodes * bad} non-finite entries")
+    # the stencil part of the dense matrix is exactly symmetric and shares
+    # no entry with blockdiag(S): its asymmetry is S's, and its squared
+    # Frobenius norm is 130 n^3 / 72 from the stencil plus n |S|^2
+    asym = float(np.max(np.abs(s - s.T)))
+    norm = np.sqrt(130.0 / 72.0 * n_nodes ** 3 + n_nodes * np.sum(s * s))
+    if asym > 1e-12 * norm:
+        raise ValueError(f"matrix is not symmetric (defect {asym:g})")
+    modes = np.arange(1, n_nodes // 2)
+    sig = d4_symbol(modes, n_nodes)[:, None, None]
+    blocks = np.empty((len(modes), 4, 4))
+    blocks[:, :2, :2] = blocks[:, 2:, 2:] = -s
+    blocks[:, :2, 2:] = -sig * J0
+    blocks[:, 2:, :2] = sig * J0
+    try:
+        w_m, u_m = np.linalg.eigh(blocks)
+        w_0, u_0 = np.linalg.eigh(-s)  # constant and alternating modes
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"LAPACK eigh failed: {exc}") from exc
+    ang = 2.0 * np.pi / n_nodes * (np.outer(np.arange(n_nodes), modes) % n_nodes)
+    scale = np.sqrt(2.0 / n_nodes)
+    cos = (scale * np.cos(ang))[:, None, :, None]
+    sin = (scale * np.sin(ang))[:, None, :, None]
+    # v[j, a, m, c] = cos_m(j) u_m[a, c] + sin_m(j) u_m[2 + a, c]
+    v_m = cos * u_m[:, :2].transpose(1, 0, 2) + sin * u_m[:, 2:].transpose(1, 0, 2)
+    flat = np.tile(u_0, (n_nodes, 1)) / np.sqrt(n_nodes)
+    sign = np.repeat((-1.0) ** np.arange(n_nodes), 2)[:, None]
+    w = np.concatenate([w_0, w_m.ravel(), w_0])
+    v = np.hstack([flat, v_m.reshape(2 * n_nodes, -1), sign * flat])
+    order = np.argsort(w, kind="stable")
+    return w[order], v[:, order]
+
+
+def _eigenpairs(op: OperatorModel, n_nodes: int):
+    """(w, V) of the discrete operator: mode by mode for constant S, the
+    dense LAPACK solve of the assembled matrix otherwise."""
+    if op.constant_S is not None:
+        return _mode_eigh(op.constant_S, n_nodes)
+    return jacobi_eigh(assemble_matrix(op, n_nodes))
 
 
 def _degenerate_clusters(w: np.ndarray):
@@ -219,14 +283,13 @@ def _winding_of_nodes(vecs: np.ndarray, floor: float):
 def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumReport:
     """Solve the discretized operator and keep the trusted central band.
 
-    The full spectrum comes from LAPACK through ``jacobi_eigh``; the basis
-    of each sawtooth-carrying cluster is then fixed by
-    ``_disentangle_clusters``.
+    The full spectrum comes mode by mode when S is constant and from the
+    dense LAPACK solve ``jacobi_eigh`` when it varies; the basis of each
+    sawtooth-carrying cluster is then fixed by ``_disentangle_clusters``.
     Eigensection windings come from angle accumulation over the nodes, and
     eigenpairs whose winding cannot be tracked are excluded and counted.
     """
-    m = assemble_matrix(op, n_nodes)
-    w, v = jacobi_eigh(m)
+    w, v = _eigenpairs(op, n_nodes)
     v = _disentangle_clusters(w, v, n_nodes)
     vecs = v.reshape(n_nodes, 2, 2 * n_nodes)
     wind, ok = _winding_of_nodes(vecs, floor=1e-8)

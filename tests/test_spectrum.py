@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from reeblab import czindex, model, spectrum
-from reeblab.errors import BandTooNarrow
+from reeblab.errors import BandTooNarrow, NoConvergence
 from reeblab.model import J0, SymplecticPath
 
 
@@ -245,26 +245,27 @@ def test_only_sawtooth_carrying_clusters_are_turned(analytic_paths,
 @pytest.mark.parametrize("seed", range(5))
 def test_degenerate_cluster_basis_does_not_matter(analytic_paths, numeric_paths,
                                                   monkeypatch, seed):
-    """LAPACK fixes no basis inside a degenerate eigenspace: a random
-    rotation inside each cluster must not change the windings, the index or
-    the audit once _disentangle_clusters has run.  Run on P2's analytic
-    path (constant S) and its variational path (S from the stencil)."""
+    """Neither eigensolver route fixes a basis inside a degenerate
+    eigenspace: a random rotation inside each cluster must not change the
+    windings, the index or the audit once _disentangle_clusters has run.
+    Run on P2's analytic path (constant S, solved mode by mode) and its
+    variational path (S from the stencil, solved dense)."""
     ops = [spectrum.build_S(paths["P2"])
            for paths in (analytic_paths, numeric_paths)]
     refs = [spectrum.discretize_and_solve(op, 128) for op in ops]
     rng = np.random.default_rng(seed)
-    solve = spectrum.jacobi_eigh
+    solve = spectrum._eigenpairs
     n_rotated = []
 
-    def rotated_eigh(a):
-        w, v = solve(a)
+    def rotated_eigh(op, n_nodes):
+        w, v = solve(op, n_nodes)
         for i, j in spectrum._degenerate_clusters(w):
             q, _ = np.linalg.qr(rng.standard_normal((j - i, j - i)))
             v[:, i:j] = v[:, i:j] @ q
             n_rotated.append(j - i)
         return w, v
 
-    monkeypatch.setattr(spectrum, "jacobi_eigh", rotated_eigh)
+    monkeypatch.setattr(spectrum, "_eigenpairs", rotated_eigh)
     for op, ref in zip(ops, refs):
         n_rotated.clear()
         rep = spectrum.discretize_and_solve(op, 128)
@@ -280,3 +281,107 @@ def test_degenerate_cluster_basis_does_not_matter(analytic_paths, numeric_paths,
         assert audit["violations"] == want["violations"]
         assert audit["min_independence_det"] == pytest.approx(
             want["min_independence_det"], rel=1e-6)
+
+
+# S of the synthetic constant generator: symmetric with off-diagonal
+# entries, which fourier_oracle_spectrum refuses
+S_OFFDIAG = np.array([[1.3, 0.4], [0.4, -0.7]])
+
+
+def _constant_S_paths(analytic_paths):
+    """Constant-S paths the mode route serves: P1-P3 at k = 1-4, the free
+    operator (a fourfold cluster at 0), a non-integer rotation and a
+    generator whose S is not diagonal."""
+    paths = {f"{label}_k{k}": czindex.iterate_path(path, k)
+             for label, path in analytic_paths.items() for k in (1, 2, 3, 4)}
+    paths["rotation_0"] = czindex.rotation_path(0.0, 129)
+    paths["rotation_0.37"] = czindex.rotation_path(0.37, 257, period=2 * np.pi)
+    paths["offdiag"] = SymplecticPath.from_generator(J0 @ S_OFFDIAG, 1.0, 129)
+    return paths
+
+
+@pytest.mark.parametrize("n_nodes", [128, 160, 256])
+def test_mode_route_matches_dense_eigh(analytic_paths, monkeypatch, n_nodes):
+    """The mode-by-mode solve of a constant-S operator agrees with LAPACK's
+    dense eigh of the assembled matrix: eigenvalues, residual and
+    orthonormality to 1e-12 of the matrix's norm, and the same windings,
+    exclusions, audit (its least determinant to rounding) and, where 0 is
+    no eigenvalue, index."""
+    dense = {}
+    for name, path in _constant_S_paths(analytic_paths).items():
+        op = spectrum.build_S(path)
+        assert op.constant_S is not None
+        a = spectrum.assemble_matrix(op, n_nodes)
+        scale = np.linalg.norm(a)
+        w_ref = np.linalg.eigh(a)[0]
+        w, v = spectrum._eigenpairs(op, n_nodes)
+        assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale, name
+        assert np.linalg.norm(a @ v - v * w) <= 1e-12 * scale, name
+        assert np.max(np.abs(v.T @ v - np.eye(2 * n_nodes))) <= 1e-12, name
+        dense[name] = (op, spectrum.discretize_and_solve(op, n_nodes))
+
+    monkeypatch.setattr(spectrum, "_eigenpairs", lambda op, n: np.linalg.eigh(
+        spectrum.assemble_matrix(op, n)))
+    for name, (op, rep) in dense.items():
+        ref = spectrum.discretize_and_solve(op, n_nodes)
+        assert np.array_equal(rep.windings, ref.windings), name
+        assert rep.n_excluded == ref.n_excluded, name
+        if ref.gap < 1e-9:
+            # 0 is an eigenvalue (the free operator): the index is undefined
+            # and the side of 0 its kernel falls on is rounding noise
+            assert rep.gap < 1e-9, name
+        else:
+            assert (rep.wind_neg, rep.wind_pos, rep.p, rep.mu_tilde_frame) == \
+                (ref.wind_neg, ref.wind_pos, ref.p, ref.mu_tilde_frame), name
+        audit = spectrum.spectrum_property_audit(rep)
+        want = spectrum.spectrum_property_audit(ref)
+        # a ratio of eigenvector entries, equal to rounding
+        assert audit.pop("min_independence_det") == pytest.approx(
+            want.pop("min_independence_det"), rel=1e-12), name
+        assert audit == want, name
+
+
+def _twin_operators(s_const, n_nodes=128):
+    """The same constant S as an operator the mode route solves and as one
+    the dense route solves."""
+    s_path = np.broadcast_to(s_const, (n_nodes, 2, 2)).copy()
+    tau = np.arange(n_nodes) / n_nodes
+    return (spectrum.OperatorModel(S=s_path, tau=tau, period=1.0,
+                                   constant_S=s_const),
+            spectrum.OperatorModel(S=s_path, tau=tau, period=1.0))
+
+
+def _raised(exc_type, op, n_nodes=128):
+    with pytest.raises(exc_type) as info:
+        spectrum._eigenpairs(op, n_nodes)
+    return str(info.value)
+
+
+def test_mode_route_refuses_non_finite_S_as_dense():
+    modes, dense = _twin_operators(np.array([[1.0, np.nan], [np.nan, np.inf]]))
+    assert _raised(ValueError, modes) == _raised(ValueError, dense) \
+        == "matrix has 384 non-finite entries"
+
+
+def test_mode_route_refuses_asymmetric_S_as_dense():
+    modes, dense = _twin_operators(np.array([[1.0, 0.3], [0.2, -0.5]]))
+    assert _raised(ValueError, modes) == _raised(ValueError, dense) \
+        == "matrix is not symmetric (defect 0.1)"
+
+
+@pytest.mark.parametrize("n_nodes", [129, 126])
+def test_mode_route_refuses_bad_node_count_as_dense(n_nodes):
+    modes, dense = _twin_operators(S_OFFDIAG)
+    assert _raised(ValueError, modes, n_nodes) \
+        == _raised(ValueError, dense, n_nodes) \
+        == f"n_nodes must be even and at least 128, got {n_nodes}"
+
+
+def test_mode_route_reports_lapack_failure_as_dense(monkeypatch):
+    def failing(a, *args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    modes, dense = _twin_operators(S_OFFDIAG)
+    assert _raised(NoConvergence, modes) == _raised(NoConvergence, dense) \
+        == "LAPACK eigh failed: Eigenvalues did not converge"
