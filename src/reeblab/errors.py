@@ -53,15 +53,11 @@ class SamplingTooCoarse(ReebLabError):
 
 
 class DegenerateOrbit(ReebLabError):
-    """A winding-interval endpoint touches an integer (nondegeneracy fails)."""
+    """A winding-interval endpoint is an integer or the operator has eigenvalue 0."""
 
 
 class RoundingUnsafe(ReebLabError):
     """A real value is too far from the nearest integer to round safely."""
-
-
-class AsymmetryTooLarge(ReebLabError):
-    """The recovered coefficient matrix is not symmetric within tolerance."""
 
 
 class BandTooNarrow(ReebLabError):

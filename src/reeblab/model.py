@@ -490,24 +490,28 @@ class SymplecticPath:
     def end_matrix(self) -> np.ndarray:
         return self.mats[-1]
 
+    def check_symplectic(self) -> None:
+        """Raise DegenerateFrame unless every determinant is 1 within 1e-7."""
+        if self.det_defect() > 1e-7:
+            raise DegenerateFrame(f"path symplecticity defect "
+                                  f"{self.det_defect():g} exceeds tolerance")
+
     def lift(self, nodes):
-        """(tau, mats) at integer node indices of the path continued over
-        every period by the group law Phi(t + j) = Phi(t) Phi(1)^j, the
-        powers by repeated right multiplication with Phi(1) or its inverse.
-        Node j (n_nodes - 1), j > 0, is the closing node times Phi(1)^(j-1),
-        so a k-fold concatenation repeats the stored closing node.
+        """(tau, mats) at nonnegative integer node indices of the path
+        continued over every period by the group law Phi(t + j) =
+        Phi(t) Phi(1)^j, the powers by repeated right multiplication.  Node
+        j (n_nodes - 1), j > 0, is the closing node times Phi(1)^(j-1), so a
+        k-fold concatenation repeats the stored closing node.
         """
         n = self.n_nodes - 1
         j, r = np.divmod(np.asarray(nodes), n)
         top = (r == 0) & (j > 0)
         j, r = np.where(top, j - 1, j), np.where(top, n, r)
         mats = self.mats[r]
-        end = self.end_matrix()
-        for stop, step in ((j.max() + 1, 1), (j.min() - 1, -1)):
-            power = np.eye(2)
-            for jj in range(step, stop, step):
-                power = power @ (end if step > 0 else np.linalg.inv(end))
-                mats[j == jj] = mats[j == jj] @ power
+        power = np.eye(2)
+        for jj in range(1, j.max() + 1):
+            power = power @ self.end_matrix()
+            mats[j == jj] = mats[j == jj] @ power
         return self.tau[r] + j, mats
 
     def value(self, tau):
@@ -613,7 +617,5 @@ def restrict_linearized_to_xi(
     phi = np.array(phi)
     phi[0] = np.eye(2)
     path = SymplecticPath(tau=traj.t / T, mats=phi, period=T)
-    defect = path.det_defect()
-    if defect > 1e-7:
-        raise DegenerateFrame(f"path symplecticity defect {defect:g} exceeds tolerance")
+    path.check_symplectic()
     return path

@@ -1,13 +1,14 @@
 """Asymptotic operator along a closed orbit: discretization and spectrum.
 
 In a symplectic trivialization the operator is L = -J0 d/dt - S(t) with
-S(t) = -J0 dPhi/dt Phi(t)^{-1} symmetric, acting on loops of the plane.
+S(t) = -J0 dPhi/dt Phi(t)^{-1} symmetric, acting on loops of the plane;
+``build_S`` takes S from exact logarithms of the path's one-step transfers.
 Discretized with an antisymmetric centered periodic difference, the matrix
 is exactly symmetric; its eigenvalues are real, each eigensection carries a
 winding number, windings are monotone in the eigenvalue and each integer is
 attained exactly twice.  The generalized index is read off the windings of
 the extremal eigenvalues around zero: mu = 2 wind(nu_neg) + p with
-p = wind(nu_pos) - wind(nu_neg) in {0, 1}.
+p = wind(nu_pos) - wind(nu_neg) in {0, 1}, undefined if 0 is an eigenvalue.
 
 For constant S the discrete operator is block-circulant: the real Fourier
 basis splits it into one 4 x 4 block per mode and two 2 x 2 blocks, and it
@@ -16,7 +17,7 @@ dense symmetric eigenproblem is solved by LAPACK (``np.linalg.eigh``
 behind ``jacobi.jacobi_eigh``); for constant S that dense solve is the
 tests' oracle for the mode route, and ``fourier_oracle_spectrum`` its
 closed form.  Neither route fixes a basis inside a degenerate eigenspace.
-The clusters that hold the stencil's sawtooth null mode are rotated to a
+The clusters that hold the difference's sawtooth null mode are rotated to a
 deterministic basis before windings are read, so the smooth member keeps
 its winding; every other cluster keeps the solver's basis, since its
 sections share one winding and any mixture of them winds alike.
@@ -30,21 +31,28 @@ from typing import Optional
 import numpy as np
 
 from .czindex import CZResult
-from .errors import AsymmetryTooLarge, BandTooNarrow, NoConvergence
+from .errors import BandTooNarrow, DegenerateOrbit, NoConvergence, SamplingTooCoarse
 from .jacobi import jacobi_eigh
 from .model import J0, SymplecticPath, winding_turns
 
 
 @dataclass
 class OperatorModel:
-    """Sampled coefficient path S(t) of the operator on a uniform periodic
-    grid, with the asymmetry residual of its reconstruction from the path."""
+    """S(t) of the operator sampled on a uniform periodic grid, and S itself
+    if constant: ValueError unless finite and exactly symmetric."""
 
-    S: np.ndarray  # (n, 2, 2), exactly symmetric
+    S: np.ndarray  # (n, 2, 2)
     tau: np.ndarray
     period: float
     constant_S: Optional[np.ndarray] = None
-    asym_residual: float = 0.0
+
+    def __post_init__(self):
+        for s in [s for s in (self.S, self.constant_S) if s is not None]:
+            if not np.isfinite(s).all():
+                raise ValueError(f"S has {np.sum(~np.isfinite(s))} non-finite entries")
+            asym = float(np.max(np.abs(s - np.swapaxes(s, -1, -2))))
+            if asym:
+                raise ValueError(f"S is not symmetric (defect {asym:g})")
 
     @property
     def n_nodes(self) -> int:
@@ -93,38 +101,37 @@ def d4_symbol(n_mode, n_nodes: int):
 def build_S(path: SymplecticPath) -> OperatorModel:
     """Coefficient path S = -J0 dPhi/dt Phi^{-1} of the operator.
 
-    Paths carrying a constant generator use the closed form
-    S = -J0 * (T * A), which is constant and diagonal for the transverse
-    linearizations here; otherwise dPhi/dt comes from centered differences
-    of the stored nodes.  The result is symmetrized exactly and the
-    asymmetry residual reported; AsymmetryTooLarge above 1e-6.
+    A path with a constant generator A gives the closed form -J0 T A; any
+    other the exact logarithms X_j = theta / sin(theta) (T_j - cos(theta) I)
+    of its periodic transfers T_j = Phi_{j+1} Phi_j^{-1}, cos(theta) =
+    tr T_j / 2, and S_j = -n J0 (X_{j-1} + X_j) / 2: symmetric as X_j is
+    traceless, exact for a constant generator.  Raises DegenerateFrame if a
+    determinant is off 1 by over 1e-7, SamplingTooCoarse if a step turns by
+    pi/2 or more.
     """
     tau = path.tau
     n = len(tau) - 1  # drop duplicate closing node for the periodic grid
     if path.constant_generator is not None:
-        gen = path.constant_generator
-        s_const = -J0 @ (path.period * gen)
-        s_const = 0.5 * (s_const + s_const.T)
-        grid = np.arange(n) / n
-        s_path = np.broadcast_to(s_const, (n, 2, 2)).copy()
-        return OperatorModel(S=s_path, tau=grid, period=path.period,
-                             constant_S=s_const)
+        s = -J0 @ (path.period * path.constant_generator)
+        return OperatorModel(S=np.broadcast_to(s, (n, 2, 2)).copy(),
+                             tau=np.arange(n) / n, period=path.period,
+                             constant_S=s)
     if not np.allclose(np.diff(tau), tau[1] - tau[0], rtol=1e-9, atol=1e-12):
         raise ValueError("path nodes must be uniform for differencing (spacing "
                          f"{np.min(np.diff(tau)):g} to {np.max(np.diff(tau)):g})")
-    mats = path.mats[:-1]
-    nn = len(mats)
-    dt = 1.0 / nn
-    # centered stencil over the path lifted two nodes past each end
-    _, ext = path.lift(np.arange(-2, nn + 2))
-    dphi = (8.0 * (ext[3:-1] - ext[1:-3]) - (ext[4:] - ext[:-4])) / (12.0 * dt)
-    s_raw = -np.einsum("ij,njk->nik", J0, dphi @ np.linalg.inv(mats))
-    asym = float(np.max(np.abs(s_raw - np.transpose(s_raw, (0, 2, 1)))))
-    if asym > 1e-6:
-        raise AsymmetryTooLarge(f"asymmetry residual {asym:g}")
-    s_sym = 0.5 * (s_raw + np.transpose(s_raw, (0, 2, 1)))
-    return OperatorModel(S=s_sym, tau=np.arange(nn) / nn, period=path.period,
-                         asym_residual=asym)
+    path.check_symplectic()
+    step = path.mats[1:] @ np.linalg.inv(path.mats[:-1])
+    half = 0.5 * (step[:, 0, 0] + step[:, 1, 1])
+    if np.min(half) <= 0.0:
+        raise SamplingTooCoarse(f"a step turns by pi/2 or more (half-trace "
+                                f"{np.min(half):g} at step {np.argmin(half)})")
+    scale = 0.5 * n * (1.0 / np.sinc(np.arccos(half + 0j) / np.pi)).real
+    # X11 = -X00 in X = scale (T - half I): -J0 X = [[X10, -X00], [-X00, -X01]]
+    x = scale * np.array([0.5 * (step[:, 0, 0] - step[:, 1, 1]),
+                          step[:, 0, 1], step[:, 1, 0]])
+    x00, x01, x10 = x + np.roll(x, 1, axis=1)
+    s = np.stack([x10, -x00, -x00, -x01], axis=1).reshape(n, 2, 2)
+    return OperatorModel(S=s, tau=np.arange(n) / n, period=path.period)
 
 
 def _resample_S(op: OperatorModel, n_nodes: int) -> np.ndarray:
@@ -158,7 +165,7 @@ def assemble_matrix(op: OperatorModel, n_nodes: int) -> np.ndarray:
     return m
 
 
-def _mode_eigh(s_const: np.ndarray, n_nodes: int):
+def _mode_eigh(s: np.ndarray, n_nodes: int):
     """Full eigendecomposition of assemble_matrix for constant S, mode by mode.
 
     In the real Fourier basis sqrt(2/n) (cos, sin)(2 pi m j / n) of mode
@@ -168,21 +175,9 @@ def _mode_eigh(s_const: np.ndarray, n_nodes: int):
     -S.  The blocks go to LAPACK in one batched call and the eigenvectors
     are mapped back onto the nodes.  Returns (w, V) laid out as
     jacobi_eigh returns them for the dense matrix, eigenvalues ascending by
-    a stable sort, and refuses the inputs that route refuses with the same
-    ValueError or NoConvergence.
+    a stable sort, for an S that ``OperatorModel`` has checked.
     """
     _check_n_nodes(n_nodes)
-    s = np.asarray(s_const, float)
-    bad = int(np.count_nonzero(~np.isfinite(s)))
-    if bad:  # each entry of S fills n_nodes entries of the dense matrix
-        raise ValueError(f"matrix has {n_nodes * bad} non-finite entries")
-    # the stencil part of the dense matrix is exactly symmetric and shares
-    # no entry with blockdiag(S): its asymmetry is S's, and its squared
-    # Frobenius norm is 130 n^3 / 72 from the stencil plus n |S|^2
-    asym = float(np.max(np.abs(s - s.T)))
-    norm = np.sqrt(130.0 / 72.0 * n_nodes ** 3 + n_nodes * np.sum(s * s))
-    if asym > 1e-12 * norm:
-        raise ValueError(f"matrix is not symmetric (defect {asym:g})")
     modes = np.arange(1, n_nodes // 2)
     sig = d4_symbol(modes, n_nodes)[:, None, None]
     blocks = np.empty((len(modes), 4, 4))
@@ -216,10 +211,15 @@ def _eigenpairs(op: OperatorModel, n_nodes: int):
     return jacobi_eigh(assemble_matrix(op, n_nodes))
 
 
+def _zero_tol(w: np.ndarray) -> float:
+    """Eigenvalues closer than this are equal: 1e-9 of w's scale."""
+    return 1e-9 * max(np.max(np.abs(w)), 1.0)
+
+
 def _degenerate_clusters(w: np.ndarray):
     """(start, stop) of each run of two or more ascending eigenvalues that
-    lie within 1e-9 (relative to the spectrum's scale) of the run's first."""
-    tol = 1e-9 * max(np.max(np.abs(w)), 1.0)
+    lie within ``_zero_tol(w)`` of the run's first."""
+    tol = _zero_tol(w)
     vals = w.tolist()
     runs = []
     i = 0
@@ -295,12 +295,7 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumRepor
     wind, ok = _winding_of_nodes(vecs, floor=1e-8)
     kept = np.where(ok)[0]
     n_excluded = int(len(w) - len(kept))
-    wk = w[kept]
-    windk = wind[kept]
-    order = np.argsort(wk, kind="stable")
-    wk = wk[order]
-    windk = windk[order]
-    vecsk = vecs[:, :, kept][:, :, order]
+    wk, windk, vecsk = w[kept], wind[kept], vecs[:, :, kept]  # w ascends
 
     neg = wk[wk < 0.0]
     pos = wk[wk >= 0.0]
@@ -331,7 +326,12 @@ def discretize_and_solve(op: OperatorModel, n_nodes: int = 256) -> SpectrumRepor
 
 
 def generalized_cz(report: SpectrumReport, frame_correction: int):
-    """Spectral index 2 wind(nu_neg) + p, moved to the global frame."""
+    """Spectral index 2 wind(nu_neg) + p, moved to the global frame;
+    DegenerateOrbit if 0 is an eigenvalue within ``_zero_tol``."""
+    tol = _zero_tol(report.all_eigenvalues)
+    if report.gap <= tol:
+        raise DegenerateOrbit(f"0 is in the spectrum: gap {report.gap:g} "
+                              f"within {tol:g}")
     if report.p not in (0, 1):
         raise BandTooNarrow(
             f"winding jump p = {report.p} outside {{0, 1}}; band unreliable")

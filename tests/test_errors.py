@@ -1,13 +1,19 @@
-"""Every error the package raises names the value that caused it."""
+"""Every error the package raises names the value that caused it, and
+every error class is raised somewhere."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from reeblab import czindex, jacobi, knots, leaves, model, orbits, spectrum
+from reeblab import (czindex, errors, jacobi, knots, leaves, model, orbits,
+                     spectrum)
 from reeblab.config import RunConfig
 from reeblab.errors import (
     BandTooNarrow,
     DegenerateFrame,
+    DegenerateOrbit,
     HypothesisFailure,
     NoConvergence,
     NoReturn,
@@ -16,7 +22,9 @@ from reeblab.errors import (
     UnreliableWinding,
     VanishingSection,
 )
-from reeblab.model import HamiltonianParams
+from reeblab.model import HamiltonianParams, SymplecticPath
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "reeblab"
 
 
 def _params(preset="validated", eps=0.5):
@@ -75,6 +83,23 @@ def _band_misses_zero():
     spectrum.discretize_and_solve(op, 128)
 
 
+def _stripped(path, scale=1.0):
+    """`path` without its generator, every node after the first scaled."""
+    mats = path.mats.copy()
+    mats[1:] *= scale
+    return SymplecticPath(tau=path.tau, mats=mats, period=path.period)
+
+
+def _operator(s):
+    return spectrum.OperatorModel(S=np.broadcast_to(s, (128, 2, 2)).copy(),
+                                  tau=np.arange(128) / 128, period=1.0)
+
+
+def _zero_eigenvalue():
+    op = spectrum.build_S(czindex.rotation_path(0.0))
+    spectrum.generalized_cz(spectrum.discretize_and_solve(op, 128), 0)
+
+
 def _winding_floor():
     p = _params()
     grid = leaves.assemble_leaf(p, leaves.integrate_profile(p, "plane_to_P3"), 64)
@@ -102,6 +127,18 @@ CASES = {
                          r"126 negative and 0 nonnegative"),
     "winding-floor": (_winding_floor, UnreliableWinding,
                       r"up to [\d.e-]+ below floor 1e\+09"),
+    "non-finite-S": (lambda: _operator(np.diag([1.0, np.nan])), ValueError,
+                     r"S has 128 non-finite"),
+    "asymmetric-S": (lambda: _operator(np.array([[1.0, 0.3], [0.2, 1.0]])),
+                     ValueError, r"defect 0\.1\b"),
+    "det-defect": (lambda: spectrum.build_S(
+        _stripped(czindex.rotation_path(0.3, 65), 1.001)), DegenerateFrame,
+        r"defect 0\.002001 exceeds"),
+    "quarter-turn-step": (lambda: spectrum.build_S(
+        _stripped(czindex.rotation_path(1.0, 4))), SamplingTooCoarse,
+        r"half-trace -0\.5 "),
+    "zero-eigenvalue": (_zero_eigenvalue, DegenerateOrbit,
+                        r"gap 0 within 1\.75608e-07"),
     "action-samples": (lambda: orbits.orbit_action(np.zeros((4, 4))),
                        ValueError, r"got 4"),
     "iterate-zero": (lambda: czindex.iterate_path(czindex.rotation_path(0.3), 0),
@@ -123,3 +160,24 @@ def test_error_names_the_offending_value(case):
     trigger, error, pattern = CASES[case]
     with pytest.raises(error, match=pattern):
         trigger()
+
+
+def _raised_names(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            yield exc.attr if isinstance(exc, ast.Attribute) else \
+                getattr(exc, "id", None)
+
+
+def test_every_error_class_is_raised():
+    """An error class that nothing raises is dead weight in the hierarchy
+    callers catch."""
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, errors.ReebLabError)
+               and obj is not errors.ReebLabError}
+    raised = set()
+    for path in PACKAGE.glob("*.py"):
+        raised.update(_raised_names(ast.parse(path.read_text())))
+    assert classes
+    assert sorted(classes - raised) == []

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from reeblab import czindex, model, spectrum
-from reeblab.errors import BandTooNarrow, NoConvergence
+from reeblab import czindex, model, orbits, spectrum
+from reeblab.errors import BandTooNarrow, DegenerateOrbit, NoConvergence
 from reeblab.model import J0, SymplecticPath
 
 
@@ -11,7 +11,6 @@ def test_coefficient_path_constant_case(params, trio, analytic_paths):
         op = spectrum.build_S(analytic_paths[orbit.label])
         want = orbit.reeb_period * np.diag([orbit.k2, -orbit.k1])
         assert np.allclose(op.constant_S, want, atol=1e-13)
-        assert op.asym_residual == 0.0
 
 
 def test_coefficient_path_identity():
@@ -26,22 +25,26 @@ def test_coefficient_path_rotation_closed_form():
                        atol=1e-12)
 
 
-def test_coefficient_path_finite_difference_route():
-    """Strip the generator so the centered-difference reconstruction runs,
-    and check it against the closed form."""
-    theta = 0.3
-    path = czindex.rotation_path(theta, 257)
-    stripped = SymplecticPath(tau=path.tau, mats=path.mats, period=path.period)
-    op = spectrum.build_S(stripped)
-    assert op.asym_residual < 1e-6
-    assert np.max(np.abs(op.S - 2 * np.pi * theta * np.eye(2))) < 1e-6
+def test_coefficient_path_log_route_matches_closed_form(analytic_paths):
+    """Strip the generator so S comes from the logarithms of the one-step
+    transfers, which are exact for a constant generator: they must give the
+    closed form -J0 T A to rounding."""
+    paths = [czindex.rotation_path(0.3, 257)]
+    paths += [czindex.iterate_path(path, k)
+              for path in analytic_paths.values() for k in (1, 2, 3)]
+    for path in paths:
+        want = spectrum.build_S(path).constant_S
+        stripped = SymplecticPath(tau=path.tau, mats=path.mats,
+                                  period=path.period)
+        op = spectrum.build_S(stripped)
+        assert op.constant_S is None
+        assert np.max(np.abs(op.S - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_fd_route_on_integrated_path(params, trio):
     gpath = model.restrict_linearized_to_xi(params, trio[1],
                                             "global_frame", 257)
     op = spectrum.build_S(gpath)
-    assert op.asym_residual < 1e-5
     # the coefficient matrix must reproduce the path derivative at nodes
     mats = gpath.mats[:-1]
     n = len(mats)
@@ -50,6 +53,26 @@ def test_fd_route_on_integrated_path(params, trio):
     recon = np.einsum("ij,njk->nik", J0, op.S[2:-2]) @ mats[2:-2]
     # J0 S Phi = dPhi/dt up to the differencing order
     assert np.max(np.abs(recon - dphi_fd)) < 5e-3
+
+
+@pytest.mark.parametrize("eps", [0.3, 0.5, 0.6, 0.7])
+def test_numeric_path_index_matches_analytic(eps):
+    """S of the variational rho-frame path, a varying S solved dense, gives
+    the index of the exact transverse linearization for P1-P3 and their
+    iterates k = 1-4."""
+    p = model.HamiltonianParams.from_preset("validated", eps)
+    for orbit in orbits.special_orbits(p):
+        numeric = model.restrict_linearized_to_xi(p, orbit, "rho_orbit_frame",
+                                                  256)
+        analytic = czindex.analytic_monodromy_oracle(p, orbit.label,
+                                                     orbit=orbit)
+        fc = czindex.frame_correction_for(p, orbit)
+        for k in (1, 2, 3, 4):
+            op = spectrum.build_S(czindex.iterate_path(numeric, k))
+            rep = spectrum.discretize_and_solve(op, 128)
+            want = czindex.iterate_index(analytic, k, fc).mu_global
+            assert spectrum.generalized_cz(rep, k * fc).mu_global == want, \
+                (orbit.label, k)
 
 
 def test_free_operator_fourier_modes():
@@ -189,6 +212,19 @@ def test_nondegenerate_rotation_not_coupled():
     assert np.min(np.abs(rep.all_eigenvalues)) > 1e-3
 
 
+def test_index_refused_when_zero_is_an_eigenvalue(monkeypatch):
+    """The free operator has 0 in its spectrum, so its index is undefined:
+    the mode route and the dense route both refuse it."""
+    op = spectrum.build_S(czindex.rotation_path(0.0, 129))
+    reps = [spectrum.discretize_and_solve(op, 128)]
+    monkeypatch.setattr(spectrum, "_eigenpairs", lambda op, n: np.linalg.eigh(
+        spectrum.assemble_matrix(op, n)))
+    reps.append(spectrum.discretize_and_solve(op, 128))
+    for rep in reps:
+        with pytest.raises(DegenerateOrbit, match="0 is in the spectrum"):
+            spectrum.generalized_cz(rep, 0)
+
+
 def test_band_too_narrow_for_unbracketed_spectrum():
     # a large positive constant coefficient shifts the low modes entirely
     # below zero only in the untrusted region; fabricate the failure by
@@ -249,7 +285,7 @@ def test_degenerate_cluster_basis_does_not_matter(analytic_paths, numeric_paths,
     eigenspace: a random rotation inside each cluster must not change the
     windings, the index or the audit once _disentangle_clusters has run.
     Run on P2's analytic path (constant S, solved mode by mode) and its
-    variational path (S from the stencil, solved dense)."""
+    variational path (S from the transfers' logarithms, solved dense)."""
     ops = [spectrum.build_S(paths["P2"])
            for paths in (analytic_paths, numeric_paths)]
     refs = [spectrum.discretize_and_solve(op, 128) for op in ops]
@@ -357,16 +393,32 @@ def _raised(exc_type, op, n_nodes=128):
     return str(info.value)
 
 
+def _construction_refusals(s_const, n_nodes=128):
+    """The messages with which an operator carrying a bad S is refused where
+    it is built, whichever route would solve it: sampled alone (dense
+    route), sampled with its constant (mode route), and a good sampled S
+    beside the bad constant."""
+    tau = np.arange(n_nodes) / n_nodes
+    s_path = np.broadcast_to(s_const, (n_nodes, 2, 2)).copy()
+    good = np.broadcast_to(S_OFFDIAG, (n_nodes, 2, 2)).copy()
+    messages = []
+    for sampled, const in ((s_path, None), (s_path, s_const), (good, s_const)):
+        with pytest.raises(ValueError) as info:
+            spectrum.OperatorModel(S=sampled, tau=tau, period=1.0,
+                                   constant_S=const)
+        messages.append(str(info.value))
+    return messages
+
+
 def test_mode_route_refuses_non_finite_S_as_dense():
-    modes, dense = _twin_operators(np.array([[1.0, np.nan], [np.nan, np.inf]]))
-    assert _raised(ValueError, modes) == _raised(ValueError, dense) \
-        == "matrix has 384 non-finite entries"
+    assert _construction_refusals(np.array([[1.0, np.nan], [np.nan, np.inf]])) \
+        == ["S has 384 non-finite entries"] * 2 \
+        + ["S has 3 non-finite entries"]
 
 
 def test_mode_route_refuses_asymmetric_S_as_dense():
-    modes, dense = _twin_operators(np.array([[1.0, 0.3], [0.2, -0.5]]))
-    assert _raised(ValueError, modes) == _raised(ValueError, dense) \
-        == "matrix is not symmetric (defect 0.1)"
+    assert _construction_refusals(np.array([[1.0, 0.3], [0.2, -0.5]])) \
+        == ["S is not symmetric (defect 0.1)"] * 3
 
 
 @pytest.mark.parametrize("n_nodes", [129, 126])
